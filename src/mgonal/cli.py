@@ -21,26 +21,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CacheFormatError, ResourceLimitError
-from .escalator import (
-    GrowthProbe,
-    build_tree,
-    exceptions,
-    fit_growth_exponent,
-    gamma_estimate,
-    growth_probe,
-    growth_rows_from_largest,
-    t_d5,
-)
+from .escalator import build_tree, exceptions, gamma_estimate, growth_probe, t_d5, tree_nodes
 from .forms import Domain, MgonalForm, decompose, is_polygonal, polygonal_number
 from .local import locally_represented
 from .reduction import feasible_k, k_window
-from .represent import (
-    RepresentedSet,
-    represented_set,
-    represents,
-    truant_up_to,
-    truant_with_escalation,
-)
+from .represent import RepresentedSet, represented_set, represents, truant_with_escalation
 
 __all__ = ["main", "load_or_build_set", "cache_file_name"]
 
@@ -48,22 +33,33 @@ __all__ = ["main", "load_or_build_set", "cache_file_name"]
 # --- sieve cache ------------------------------------------------------------
 
 
-def cache_file_name(form: MgonalForm, domain: Domain, bound: int) -> str:
+def _cache_prefix(form: MgonalForm, domain: Domain) -> str:
+    """File-name prefix shared by every cache of one (form, domain) key."""
     key = f"{form.m}|{domain.value}|{','.join(map(str, form.coeffs))}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return f"mgrs-{digest}-{bound}.bin"
+    return f"mgrs-{hashlib.sha256(key.encode()).hexdigest()[:16]}-"
+
+
+def cache_file_name(form: MgonalForm, domain: Domain, bound: int) -> str:
+    return f"{_cache_prefix(form, domain)}{bound}.bin"
 
 
 def _cache_candidates(cache_dir: Path, form: MgonalForm, domain: Domain) -> list[tuple[int, Path]]:
-    key = f"{form.m}|{domain.value}|{','.join(map(str, form.coeffs))}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     out = []
-    for p in cache_dir.glob(f"mgrs-{digest}-*.bin"):
+    for p in cache_dir.glob(f"{_cache_prefix(form, domain)}*.bin"):
         try:
             out.append((int(p.stem.rsplit("-", 1)[1]), p))
         except ValueError:
             continue
     return sorted(out)
+
+
+def _read_cache(bound: int, path: Path, form: MgonalForm, domain: Domain) -> RepresentedSet:
+    rset = RepresentedSet.from_bytes(path.read_bytes())
+    if rset.form != form or rset.domain != domain:
+        raise CacheFormatError(f"cache key collision at {path}")
+    if rset.bound != bound:
+        raise CacheFormatError(f"cache {path} holds bound {rset.bound}, not the {bound} in its name")
+    return rset
 
 
 def load_or_build_set(
@@ -76,22 +72,19 @@ def load_or_build_set(
 
     Extension re-sieves at the larger bound and verifies the old prefix bit
     for bit before replacing the file, so an interrupted or corrupt write can
-    never poison later runs.
+    never poison later runs.  A file whose header disagrees with its name
+    (form, domain or bound) is rejected.
     """
     if cache_dir is None:
         return represented_set(form, bound, domain)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    stale: list[Path] = []
-    for got_bound, path in reversed(_cache_candidates(cache_dir, form, domain)):
-        if got_bound >= bound:
-            rset = RepresentedSet.from_bytes(path.read_bytes())
-            if rset.form != form or rset.domain != domain:
-                raise CacheFormatError(f"cache key collision at {path}")
-            return rset.truncated(bound) if rset.bound > bound else rset
-        stale.append(path)
+    found = _cache_candidates(cache_dir, form, domain)
+    if found and found[-1][0] >= bound:
+        rset = _read_cache(*found[-1], form, domain)
+        return rset.truncated(bound) if rset.bound > bound else rset
     rset = represented_set(form, bound, domain)
-    for path in stale:
-        old = RepresentedSet.from_bytes(path.read_bytes())
+    for got_bound, path in found:
+        old = _read_cache(got_bound, path, form, domain)
         if rset.truncated(old.bound).bits != old.bits:
             raise CacheFormatError(f"cache {path} disagrees with a fresh sieve")
         path.unlink()
@@ -303,11 +296,7 @@ def _cmd_truant(args) -> None:
     if args.escalate:
         t, searched = truant_with_escalation(form, args.bound, domain=args.domain)
     else:
-        cache = _cache_dir(args)
-        if cache is not None:
-            t = load_or_build_set(form, args.bound, args.domain, cache).first_missing()
-        else:
-            t = truant_up_to(form, args.bound, args.domain)
+        t = load_or_build_set(form, args.bound, args.domain, _cache_dir(args)).first_missing()
         searched = args.bound
     payload = {"form": form.label(), "domain": args.domain.value, "bound": searched, "truant": t}
     _emit(args, payload, text=str(t) if t is not None else f"none up to {searched}")
@@ -316,17 +305,9 @@ def _cmd_truant(args) -> None:
 def _cmd_tree(args) -> None:
     root = build_tree(args.m, args.depth, args.bound)
     payload = {"m": args.m, "bound": args.bound, "node": root.to_json_dict()}
-    rows = [("coeffs", "truant", "universal_up_to")]
-    stack = [root]
-    flat = []
-    while stack:
-        node = stack.pop()
-        flat.append(node)
-        stack.extend(reversed(node.children))
-    for node in flat:
-        rows.append(
-            (",".join(map(str, node.coeffs)), node.truant, node.universal_up_to)
-        )
+    rows = [("coeffs", "truant", "universal_up_to")] + [
+        (",".join(map(str, node.coeffs)), node.truant, node.universal_up_to) for node in tree_nodes(root)
+    ]
     _emit(args, payload, csv_rows=rows, text="\n".join(_tree_text(root)))
 
 
@@ -386,20 +367,14 @@ def _cmd_gamma(args) -> None:
     _emit(args, payload, text=str(est.gamma_lower))
 
 
-def _growth_row(task):
-    coeffs, m, bound = task
-    rep = exceptions(MgonalForm.make(m, coeffs), bound)
-    return m, rep.largest or 0
-
-
 def _cmd_growth(args) -> None:
-    if args.jobs > 1:
-        tasks = [(args.coeffs, m, args.bound) for m in range(args.m_from, args.m_to + 1)]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = growth_rows_from_largest(pool.map(_growth_row, tasks))
-        probe = GrowthProbe(rows=rows, fit_exponent=fit_growth_exponent(rows))
+    m_range = (args.m_from, args.m_to)
+    workers = min(args.jobs, args.m_to - args.m_from + 1, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            probe = growth_probe(args.coeffs, m_range, args.bound, pool.map)
     else:
-        probe = growth_probe(args.coeffs, (args.m_from, args.m_to), args.bound)
+        probe = growth_probe(args.coeffs, m_range, args.bound)
     payload = {
         "coeffs": list(args.coeffs),
         "bound": args.bound,
@@ -454,6 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f"--jobs must be at least 1, got {args.jobs}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ResourceLimitError
 from .forms import Domain, MgonalForm
-from .local import _prime_factors, locally_represented, quad_diag_represents_zp
+from .local import _canonical_target, _prime_factors, _vp, locally_represented, quad_diag_represents_zp
 from .represent import represented_set, truant_up_to
 
 __all__ = [
@@ -138,11 +139,8 @@ def build_tree(
 def tree_nodes(root: EscalatorNode) -> list[EscalatorNode]:
     """Depth-first, children in ascending coefficient order."""
     out = [root]
-    stack = list(reversed(root.children))
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
+    for child in root.children:
+        out.extend(tree_nodes(child))
     return out
 
 
@@ -168,24 +166,6 @@ def t_d5() -> list[tuple[int, ...]]:
     return out
 
 
-def _canonical_target(t: int, p: int) -> int:
-    """Smallest target sharing t's representability class over Z_p.
-
-    Multiplying a target by a unit square cannot change representability by a
-    quadratic form (substitute x -> u x), so only the valuation and the unit
-    class modulo squares matter: quadratic character for odd p, the residue
-    mod 8 for p = 2.
-    """
-    j = _vp_int(t, p)
-    u = t // p**j
-    if p == 2:
-        return 2**j * (u % 8)
-    if pow(u % p, (p - 1) // 2, p) == 1:
-        return p**j
-    nonres = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1)
-    return p**j * nonres
-
-
 def local_universal_quad(coeffs) -> bool:
     """Is the diagonal quadratic form with these coefficients universal over
     every Z_p?
@@ -203,7 +183,7 @@ def local_universal_quad(coeffs) -> bool:
     modulus = 8 * math.prod([p * p for p in odd_rel], start=1)
     decided: dict[tuple[int, int], bool] = {}
     for p in [2] + odd_rel:
-        j_cap = _vp_int(4 * prod, p) + 3
+        j_cap = _vp(4 * prod, p) + 3
         for r in range(1, modulus + 1):
             for j in range(j_cap + 1):
                 key = (_canonical_target(r * p**j, p), p)
@@ -212,14 +192,6 @@ def local_universal_quad(coeffs) -> bool:
                 if not decided[key]:
                     return False
     return True
-
-
-def _vp_int(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -320,18 +292,20 @@ def growth_rows_from_largest(pairs) -> tuple[GrowthRow, ...]:
     return tuple(rows)
 
 
-def growth_probe(coeffs, m_range: tuple[int, int], bound: int) -> GrowthProbe:
+def _largest_exception(coeffs: tuple[int, ...], bound: int, m: int) -> tuple[int, int]:
+    return m, exceptions(MgonalForm.make(m, coeffs), bound).largest or 0
+
+
+def growth_probe(coeffs, m_range: tuple[int, int], bound: int, map_fn=map) -> GrowthProbe:
     """Largest exception per m and the fitted growth exponent in (m-2).
 
     Meant for the rank >= 5 regime where the exception set is finite; empty
-    rows are excluded from the fit and reported with ratio 0.
+    rows are excluded from the fit and reported with ratio 0.  `map_fn` runs
+    the per-m audits (a process pool's `map` spreads them over workers).
     """
     lo, hi = m_range
     if lo < 3 or hi < lo:
         raise ValueError(f"bad m range {m_range}")
-    pairs = []
-    for m in range(lo, hi + 1):
-        rep = exceptions(MgonalForm.make(m, coeffs), bound)
-        pairs.append((m, rep.largest or 0))
+    pairs = map_fn(partial(_largest_exception, tuple(coeffs), bound), range(lo, hi + 1))
     rows = growth_rows_from_largest(pairs)
     return GrowthProbe(rows=rows, fit_exponent=fit_growth_exponent(rows))

@@ -88,6 +88,24 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _canonical_target(t: int, p: int) -> int:
+    """Smallest target sharing t's representability class over Z_p.
+
+    Multiplying a target by a unit square cannot change representability by a
+    quadratic form (substitute x -> u x), so only the valuation and the unit
+    class modulo squares matter: quadratic character for odd p, the residue
+    mod 8 for p = 2.
+    """
+    j = _vp(t, p)
+    u = t // p**j
+    if p == 2:
+        return 2**j * (u % 8)
+    if pow(u % p, (p - 1) // 2, p) == 1:
+        return p**j
+    nonres = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1)
+    return p**j * nonres
+
+
 def _prime_factors(n: int) -> list[int]:
     """Sorted prime divisors of |n| (trial division; inputs are desk-scale)."""
     n = abs(n)
@@ -194,7 +212,8 @@ def _refinement_children(coeffs, xs, t, p, pe, mod):
         for i in range(1, n):
             term = coeffs[i] * (xs[i] + pe * digits) ** 2
             total = (total[:, None] + term[None, :]).reshape(-1)
-        keep = np.flatnonzero((total - t) % mod == 0)
+        # t may exceed int64; only its class mod `mod` matters
+        keep = np.flatnonzero((total - t % mod) % mod == 0)
         out = []
         for flat in keep:
             flat = int(flat)
@@ -275,17 +294,12 @@ def mgonal_represents_zp(form: MgonalForm, n: int, p: int) -> LocalVerdict:
     m = form.m
     reason = _case_reason(m, p)
     g = form.coeff_gcd
-    coeffs = form.coeffs
-    if g > 1:
-        a = _vp(g, p) if g % p == 0 else 0
-        if a and n % p**a:
-            return LocalVerdict(p, False, reason)
-        coeffs = tuple(c // g for c in coeffs)
-        unit = g // p**a
-        n_red = n // p**a
-    else:
-        unit = 1
-        n_red = n
+    a = _vp(g, p)
+    if n % p**a:
+        return LocalVerdict(p, False, reason)
+    coeffs = tuple(c // g for c in form.coeffs)
+    unit = g // p**a
+    n_red = n // p**a
     s = sum(coeffs)
 
     if reason in (LocalReason.UNIVERSAL_CASE_1, LocalReason.UNIVERSAL_CASE_2):

@@ -323,6 +323,7 @@ def feasible_k(
         witness = solve_system(SystemInstance(form, alpha, beta), Domain.NONNEG)
         if witness is None:
             continue
-        assert all(x >= 0 for x in witness)
+        if any(x < 0 for x in witness):
+            raise AssertionError(f"feasible_k witness {witness} has a negative entry at k = {k}")
         out.append((k, witness))
     return out

@@ -11,6 +11,10 @@ Three engines live here:
   sum a_i x_i^2 = alpha, sum a_i x_i = beta, the auxiliary system every
   representation of A*(m-2)+B with parameter k reduces to.
 
+Both sieves, the full set and the witness search's suffix masks, are built
+from one step, `_sieve_step`: acc -> OR over v of acc << a*P_m(v), masked to
+[0, bound], applied once per coefficient.
+
 The sieve serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
 """
 
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CacheFormatError, ResourceLimitError
-from .forms import Domain, MgonalForm, is_polygonal, polygonal_number, polygonal_values
+from .forms import Domain, MgonalForm, is_polygonal, polygonal_pairs, polygonal_values
 
 __all__ = [
     "RepresentedSet",
@@ -41,6 +45,8 @@ MGRS_MAGIC = b"MGRS"
 MGRS_VERSION = 1
 _DOMAIN_BYTE = {Domain.NONNEG: 0, Domain.INT: 1}
 _BYTE_DOMAIN = {0: Domain.NONNEG, 1: Domain.INT}
+# magic, version, domain, m, rank and bound: the header without its coefficients
+_MGRS_FIXED = 4 + 1 + 1 + 8 + 8 + 8
 
 
 @dataclass(frozen=True)
@@ -91,44 +97,36 @@ class RepresentedSet:
     # with bit N = word[N // 64] >> (N % 64) & 1.
 
     def to_bytes(self) -> bytes:
-        head = bytearray()
-        head += MGRS_MAGIC
-        head.append(MGRS_VERSION)
-        head.append(_DOMAIN_BYTE[self.domain])
-        head += self.form.m.to_bytes(8, "little")
-        head += self.form.rank.to_bytes(8, "little")
-        for a in self.form.coeffs:
-            head += a.to_bytes(8, "little")
-        head += self.bound.to_bytes(8, "little")
-        n_words = (self.bound + 1 + 63) // 64
-        head += self.bits.to_bytes(n_words * 8, "little")
-        return bytes(head)
+        fields = (self.form.m, self.form.rank, *self.form.coeffs, self.bound)
+        head = MGRS_MAGIC + bytes((MGRS_VERSION, _DOMAIN_BYTE[self.domain]))
+        head += b"".join(f.to_bytes(8, "little") for f in fields)
+        return head + self.bits.to_bytes((self.bound + 1 + 63) // 64 * 8, "little")
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "RepresentedSet":
         if blob[:4] != MGRS_MAGIC:
             raise CacheFormatError("bad magic; not a represented-set cache")
+        if len(blob) < _MGRS_FIXED:
+            raise CacheFormatError(f"truncated cache header: {len(blob)} bytes")
         if blob[4] != MGRS_VERSION:
             raise CacheFormatError(f"unsupported cache version {blob[4]}")
         if blob[5] not in _BYTE_DOMAIN:
             raise CacheFormatError(f"unknown domain byte {blob[5]}")
         domain = _BYTE_DOMAIN[blob[5]]
-        off = 6
-        m = int.from_bytes(blob[off : off + 8], "little")
-        off += 8
-        rank = int.from_bytes(blob[off : off + 8], "little")
-        off += 8
-        coeffs = []
-        for _ in range(rank):
-            coeffs.append(int.from_bytes(blob[off : off + 8], "little"))
-            off += 8
+        m = int.from_bytes(blob[6:14], "little")
+        rank = int.from_bytes(blob[14:22], "little")
+        if len(blob) < _MGRS_FIXED + 8 * rank:
+            raise CacheFormatError(f"truncated cache header for {rank} coefficients")
+        coeffs = [int.from_bytes(blob[off : off + 8], "little") for off in range(22, 22 + 8 * rank, 8)]
+        off = 22 + 8 * rank
         bound = int.from_bytes(blob[off : off + 8], "little")
         off += 8
-        n_words = (bound + 1 + 63) // 64
-        body = blob[off : off + n_words * 8]
-        if len(body) != n_words * 8:
+        end = off + (bound + 1 + 63) // 64 * 8
+        if len(blob) < end:
             raise CacheFormatError("truncated cache body")
-        bits = int.from_bytes(body, "little")
+        if len(blob) > end:
+            raise CacheFormatError(f"{len(blob) - end} trailing bytes after cache body")
+        bits = int.from_bytes(blob[off:], "little")
         form = MgonalForm(m, tuple(coeffs))
         return cls(form, domain, bound, bits)
 
@@ -146,6 +144,14 @@ class SystemInstance:
             raise ValueError("alpha and beta must be nonnegative")
 
 
+def _sieve_step(acc: int, m: int, a: int, domain: Domain, bound: int) -> int:
+    """One sumset step: OR over values v = P_m(x) of acc << a*v, masked to [0, bound]."""
+    out = 0
+    for v in polygonal_values(m, bound // a, domain):
+        out |= acc << (a * v)
+    return out & ((1 << (bound + 1)) - 1)
+
+
 def represented_set(
     form: MgonalForm,
     bound: int,
@@ -157,14 +163,9 @@ def represented_set(
         raise ValueError(f"bound must be >= 1, got {bound}")
     if bound > bound_cap:
         raise ResourceLimitError(f"bound {bound} exceeds cap {bound_cap}")
-    mask = (1 << (bound + 1)) - 1
     acc = 1  # the all-zero assignment represents 0
     for a in form.coeffs:
-        vals = [a * v for v in polygonal_values(form.m, bound // a, domain)]
-        nxt = 0
-        for v in vals:
-            nxt |= acc << v
-        acc = nxt & mask
+        acc = _sieve_step(acc, form.m, a, domain, bound)
     return RepresentedSet(form, domain, bound, acc)
 
 
@@ -203,43 +204,14 @@ def _suffix_masks(m: int, coeffs_desc: tuple[int, ...], domain: Domain, bound: i
     cached = _SUFFIX_CACHE.get(key)
     if cached is not None:
         return cached
-    mask = (1 << (bound + 1)) - 1
-    masks = [0] * (len(coeffs_desc) + 1)
-    masks[len(coeffs_desc)] = 1
-    for i in range(len(coeffs_desc) - 1, -1, -1):
-        a = coeffs_desc[i]
-        acc = 0
-        below = masks[i + 1]
-        for v in polygonal_values(m, bound // a, domain):
-            acc |= below << (a * v)
-        masks[i] = acc & mask
+    masks = [1]
+    for a in reversed(coeffs_desc):
+        masks.append(_sieve_step(masks[-1], m, a, domain, bound))
+    masks.reverse()
     if len(_SUFFIX_CACHE) > 64:
         _SUFFIX_CACHE.clear()
     _SUFFIX_CACHE[key] = masks
     return masks
-
-
-def _polygonal_pairs(m: int, bound: int, domain: Domain) -> list[tuple[int, int]]:
-    """(value, x) pairs with P_m(x) = value <= bound, ascending by value."""
-    pairs: dict[int, int] = {}
-    x = 0
-    while True:
-        v = polygonal_number(m, x)
-        if v > bound:
-            break
-        pairs.setdefault(v, x)
-        x += 1
-    if domain is Domain.INT:
-        x = -1
-        while True:
-            v = polygonal_number(m, x)
-            if v > bound:
-                break
-            # keep the canonical inverse: smallest |x|, nonnegative preferred
-            if v not in pairs or abs(x) < abs(pairs[v]):
-                pairs[v] = x
-            x -= 1
-    return sorted(pairs.items())
 
 
 def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tuple[int, ...] | None:
@@ -259,7 +231,7 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
     coeffs_desc = tuple(form.coeffs[i] for i in order)
     w = min(n, _SUFFIX_CACHE_MAX_BOUND)
     masks = _suffix_masks(m, coeffs_desc, domain, w)
-    pairs = [_polygonal_pairs(m, n // a, domain) for a in coeffs_desc]
+    pairs = [polygonal_pairs(m, n // a, domain) for a in coeffs_desc]
 
     assignment = [0] * rank
 
@@ -399,6 +371,8 @@ def solve_system(inst: SystemInstance, domain: Domain = Domain.INT) -> tuple[int
     if not dfs(n - 1, alpha, beta):
         return None
     got = tuple(xs)
-    assert sum(a * x * x for a, x in zip(coeffs, got)) == alpha
-    assert sum(a * x for a, x in zip(coeffs, got)) == beta
+    if sum(a * x * x for a, x in zip(coeffs, got)) != alpha:
+        raise AssertionError(f"solve_system witness {got} misses alpha = {alpha}")
+    if sum(a * x for a, x in zip(coeffs, got)) != beta:
+        raise AssertionError(f"solve_system witness {got} misses beta = {beta}")
     return got

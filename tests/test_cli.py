@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from mgonal import cli
 from mgonal.cli import cache_file_name, load_or_build_set, main
 from mgonal.errors import CacheFormatError
+from mgonal.escalator import build_tree, tree_nodes
 from mgonal.forms import Domain, MgonalForm
 from mgonal.represent import RepresentedSet, represented_set
 
@@ -85,6 +87,24 @@ def test_tree_json_matches_figure(capsys):
     ]
 
 
+def test_tree_csv_rows_in_tree_nodes_order(capsys):
+    code, out = run_cli(
+        capsys, "tree", "--m", "8", "--depth", "3", "--bound", "100000", "--format", "csv"
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["coeffs", "truant", "universal_up_to"]
+    assert [r[0] for r in rows[1:]] == ["", "1", "1,1", "1,1,1", "1,1,2", "1,1,3", "1,2", "1,2,2", "1,2,3", "1,2,4"]
+    assert rows[1] == ["", "1", ""]
+
+    def cell(value):
+        return "" if value is None else str(value)
+
+    want = [[",".join(map(str, n.coeffs)), cell(n.truant), cell(n.universal_up_to)]
+            for n in tree_nodes(build_tree(8, 3, 100000))]
+    assert rows[1:] == want
+
+
 def test_exceptions_csv(capsys):
     code, out = run_cli(
         capsys,
@@ -136,6 +156,71 @@ def test_growth_parallel_matches_serial(capsys):
     _, serial = run_cli(capsys, *argv)
     _, parallel = run_cli(capsys, *argv, "--jobs", "3")
     assert serial == parallel
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_growth_pool_capped_by_tasks_and_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "made", [])
+    argv = ["growth", "--coeffs", "1,1,1,1,1", "--m-from", "6", "--m-to", "8",
+            "--bound", "3000", "--format", "json"]
+    _, serial = run_cli(capsys, *argv)
+    assert _SerialPool.made == []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    _, capped = run_cli(capsys, *argv, "--jobs", "100000")
+    assert _SerialPool.made == [3]  # three m values
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _, two = run_cli(capsys, *argv, "--jobs", "100000")
+    assert _SerialPool.made == [3, 2]
+    assert serial == capped == two
+
+
+def test_jobs_below_one_is_usage_error(capsys):
+    assert main(["growth", "--coeffs", "1,1,1,1,1", "--m-from", "6", "--m-to", "8",
+                 "--bound", "3000", "--jobs", "0"]) == 2
+    assert main(["eval", "--m", "5", "--x", "3", "--jobs", "-4"]) == 2
+    assert main(["eval", "--m", "5", "--x", "3", "--jobs", "1"]) == 0
+
+
+def test_truant_report_same_with_and_without_cache(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MGONAL_CACHE_DIR", raising=False)
+    for fmt in ("text", "json"):
+        argv = ["truant", "--m", "7", "--coeffs", "1,2,2,5", "--bound", "5000", "--format", fmt]
+        _, plain = run_cli(capsys, *argv)
+        _, cold = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        _, warm = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert plain == cold == warm
+    assert plain == json.dumps({"bound": 5000, "domain": "nonneg", "form": "<1,2,2,5>_7", "truant": 13},
+                               sort_keys=True, indent=2) + "\n"
+    assert [p.name for p in tmp_path.glob("*.bin")] == [
+        cache_file_name(MgonalForm.make(7, [1, 2, 2, 5]), Domain.NONNEG, 5000)
+    ]
+
+
+def test_local_past_int64_targets(capsys):
+    n = str(10**26)
+    code, out = run_cli(capsys, "local", "--m", "8", "--coeffs", "1,1,1", "--n", n, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["N"] == 10**26
+    assert 2 in {v["p"] for v in payload["verdicts"]}
 
 
 def test_td5_count(capsys):
@@ -221,3 +306,34 @@ class TestCacheLayer:
         )
         assert code == 0
         assert list(env_dir.glob("*.bin")) and not flag_dir.exists()
+
+    def test_short_cache_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("MGONAL_CACHE_DIR", raising=False)
+        f = MgonalForm.make(5, [1, 1, 1])
+        blob = represented_set(f, 1000).to_bytes()
+        for cut in (4, 5, 40, len(blob) - 3):
+            (tmp_path / cache_file_name(f, Domain.NONNEG, 1000)).write_bytes(blob[:cut])
+            code = main(["set", "--m", "5", "--coeffs", "1,1,1", "--bound", "500",
+                         "--cache-dir", str(tmp_path)])
+            assert code == 2
+            assert "error:" in capsys.readouterr().err
+
+    def test_padded_cache_file_rejected(self, tmp_path):
+        f = MgonalForm.make(5, [1, 1, 1])
+        path = tmp_path / cache_file_name(f, Domain.NONNEG, 1000)
+        path.write_bytes(represented_set(f, 1000).to_bytes() + b"\x00" * 8)
+        with pytest.raises(CacheFormatError):
+            load_or_build_set(f, 500, Domain.NONNEG, tmp_path)
+
+    def test_bound_in_name_must_match_header(self, tmp_path):
+        f = MgonalForm.make(6, [1, 2])
+        blob = represented_set(f, 200).to_bytes()
+        # named larger than its header: a lookup would serve a set short of the request
+        (tmp_path / cache_file_name(f, Domain.NONNEG, 1000)).write_bytes(blob)
+        with pytest.raises(CacheFormatError, match="bound"):
+            load_or_build_set(f, 500, Domain.NONNEG, tmp_path)
+        # named smaller than its header: the extension check must not trust it either
+        (tmp_path / cache_file_name(f, Domain.NONNEG, 1000)).unlink()
+        (tmp_path / cache_file_name(f, Domain.NONNEG, 100)).write_bytes(blob)
+        with pytest.raises(CacheFormatError, match="bound"):
+            load_or_build_set(f, 500, Domain.NONNEG, tmp_path)

@@ -7,6 +7,7 @@ from mgonal.forms import (
     decompose,
     is_polygonal,
     polygonal_number,
+    polygonal_pairs,
     polygonal_values,
 )
 
@@ -105,3 +106,14 @@ def test_evaluate_matches_sum():
     f = MgonalForm.make(5, [1, 2, 3])
     assert f.evaluate((1, 1, 1)) == 1 + 2 + 3
     assert f.evaluate((0, 0, 2)) == 3 * polygonal_number(5, 2)
+
+
+@given(st.integers(3, 40), st.integers(-5, 3000), st.sampled_from(list(Domain)))
+def test_polygonal_values_are_the_walk_values(m, bound, domain):
+    pairs = polygonal_pairs(m, bound, domain)
+    values = polygonal_values(m, bound, domain)
+    assert values == [v for v, _ in pairs]
+    assert values == [n for n in range(bound + 1) if is_polygonal(m, n, domain) is not None]
+    for v, x in pairs:
+        assert polygonal_number(m, x) == v
+        assert is_polygonal(m, v, domain) == x

@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgonal.errors import ResourceLimitError
 from mgonal.forms import Domain, MgonalForm
 from mgonal.local import (
+    _unit_form_represents_zp,
     LocalReason,
     e_max_level,
     local_exceptions,
@@ -97,6 +100,22 @@ class TestQuadKernel:
         assert not ok  # 2063 = 3 mod 4: anisotropic, odd valuation unreachable
         ok, _ = quad_diag_represents_zp((1, 1), 2063 * 2063 * 5, 2063)
         assert ok  # even valuation, unit part hit mod p
+
+
+    def test_targets_past_int64(self):
+        # over Z_2, three squares miss exactly the targets 4^a (8b + 7)
+        for t in (2**63 + 1, 10**26, 2**67, 4**40 * 3, 2**64 - 1, 4**40 * 7, 4**45 * 15):
+            u = t >> ((t & -t).bit_length() - 1) // 2 * 2
+            assert quad_diag_represents_zp((1, 1, 1), t, 2)[0] == (u % 8 != 7), t
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_unit_closed_form_matches_refinement(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+        coeffs = sorted(data.draw(st.lists(st.integers(1, 60).filter(lambda a: a % p), min_size=1, max_size=2)))
+        j = data.draw(st.integers(0, int(80 / math.log2(p))))
+        t = data.draw(st.integers(1, (1 << 80) // p**j)) * p**j
+        assert quad_diag_represents_zp(coeffs, t, p)[0] == _unit_form_represents_zp(coeffs, t, p)
 
 
 class TestPropositionCases:

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgonal.errors import CacheFormatError, ResourceLimitError
 from mgonal.forms import Domain, MgonalForm, decompose
 from mgonal.represent import (
     RepresentedSet,
     SystemInstance,
+    _suffix_masks,
     represented_set,
     represents,
     solve_system,
@@ -45,6 +47,25 @@ def test_sieve_against_brute_enumeration():
         for dom in (Domain.NONNEG, Domain.INT):
             rs = represented_set(f, 150, dom)
             assert bits_of(rs, 0, 150) == brute_represented_values(f, 150, dom)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.lists(st.integers(1, 6), min_size=1, max_size=5),
+    st.sampled_from(list(Domain)),
+    st.integers(1, 1500),
+)
+def test_sieve_and_suffix_masks_agree_with_brute(m, coeffs, domain, bound):
+    form = MgonalForm.make(m, coeffs)
+    want = sum(1 << v for v in brute_represented_values(form, bound, domain))
+    assert represented_set(form, bound, domain).bits == want
+    desc = tuple(sorted(coeffs, reverse=True))
+    masks = _suffix_masks(m, desc, domain, bound)
+    assert masks[0] == want
+    assert masks[-1] == 1
+    for i in range(1, len(desc)):
+        assert masks[i] == represented_set(MgonalForm.make(m, desc[i:]), bound, domain).bits
 
 
 def test_bit_zero_always_set():
@@ -220,3 +241,21 @@ class TestCacheFormat:
         for bound in (62, 63, 64, 65, 127, 128, 129, 4095, 4096):
             rs = represented_set(f, bound)
             assert RepresentedSet.from_bytes(rs.to_bytes()) == rs, bound
+
+    def test_short_header_and_body_rejected(self):
+        blob = represented_set(MgonalForm.make(5, [1, 2]), 100).to_bytes()
+        assert len(blob) == 22 + 2 * 8 + 8 + 2 * 8
+        for cut in (0, 4, 5, 6, 21, 29, 37, 45, 46, len(blob) - 1):
+            with pytest.raises(CacheFormatError):
+                RepresentedSet.from_bytes(blob[:cut])
+
+    def test_declared_rank_past_blob_end_rejected(self):
+        blob = bytearray(represented_set(MgonalForm.make(5, [1, 2]), 100).to_bytes())
+        blob[14:22] = (1 << 60).to_bytes(8, "little")
+        with pytest.raises(CacheFormatError, match="coefficients"):
+            RepresentedSet.from_bytes(bytes(blob))
+
+    def test_trailing_bytes_rejected(self):
+        blob = represented_set(MgonalForm.make(5, [1, 2]), 100).to_bytes()
+        with pytest.raises(CacheFormatError, match="trailing"):
+            RepresentedSet.from_bytes(blob + b"\x00")
