@@ -78,16 +78,28 @@ def load_or_build_set(
     if cache_dir is None:
         return represented_set(form, bound, domain)
     cache_dir.mkdir(parents=True, exist_ok=True)
+    # Another process may remove a listed file before it is read: a file that
+    # has vanished is skipped, as if it had not been listed.
     found = _cache_candidates(cache_dir, form, domain)
-    if found and found[-1][0] >= bound:
-        rset = _read_cache(*found[-1], form, domain)
+    for got_bound, path in reversed(found):
+        if got_bound < bound:
+            break
+        try:
+            rset = _read_cache(got_bound, path, form, domain)
+        except FileNotFoundError:
+            continue
         return rset.truncated(bound) if rset.bound > bound else rset
     rset = represented_set(form, bound, domain)
     for got_bound, path in found:
-        old = _read_cache(got_bound, path, form, domain)
+        if got_bound >= bound:
+            continue
+        try:
+            old = _read_cache(got_bound, path, form, domain)
+        except FileNotFoundError:
+            continue
         if rset.truncated(old.bound).bits != old.bits:
             raise CacheFormatError(f"cache {path} disagrees with a fresh sieve")
-        path.unlink()
+        path.unlink(missing_ok=True)
     target = cache_dir / cache_file_name(form, domain, bound)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:

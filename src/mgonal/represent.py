@@ -2,9 +2,9 @@
 
 Three engines live here:
 
-* `represented_set` — an iterated-sumset sieve over a big-int bit vector
-  (bit N set iff N is a value of the form), the workhorse for truants and
-  exception audits;
+* `represented_set` — an iterated-sumset sieve over a bit vector held as a
+  Python int (bit N set iff N is a value of the form), the workhorse for
+  truants and exception audits;
 * `represents` — a witness search (depth-first over variables in descending
   coefficient order, pruned by cached suffix sieves);
 * `solve_system` — exact solution of the pair
@@ -13,7 +13,11 @@ Three engines live here:
 
 Both sieves, the full set and the witness search's suffix masks, are built
 from one step, `_sieve_step`: acc -> OR over v of acc << a*P_m(v), masked to
-[0, bound], applied once per coefficient.
+[0, bound], applied once per coefficient.  The step has two implementations
+with the same bits, chosen by bound: a loop of big-int shifts and ORs for
+short vectors, where numpy's fixed cost per call would dominate, and
+in-place ORs on numpy uint64 words, grouped by shift residue mod 64, from the
+measured break-even (`_WORD_SIEVE_MIN_BOUND`, 2^17 bits) up.
 
 The sieve serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
 """
@@ -23,6 +27,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CacheFormatError, ResourceLimitError
 from .forms import Domain, MgonalForm, is_polygonal, polygonal_pairs, polygonal_values
@@ -78,12 +84,11 @@ class RepresentedSet:
         """All non-represented integers in [start, bound], ascending."""
         mask = ((1 << (self.bound + 1)) - 1) & ~((1 << start) - 1)
         gaps = ~self.bits & mask
-        out = []
-        while gaps:
-            low = gaps & -gaps
-            out.append(low.bit_length() - 1)
-            gaps ^= low
-        return out
+        words = np.frombuffer(gaps.to_bytes((self.bound + 64) // 64 * 8, "little"), dtype="<u8")
+        hot = np.flatnonzero(words)
+        unpacked = np.unpackbits(words[hot].view(np.uint8), bitorder="little").reshape(-1, 64)
+        row, col = np.nonzero(unpacked)
+        return (hot[row] * 64 + col).tolist()
 
     def truncated(self, bound: int) -> "RepresentedSet":
         if bound > self.bound:
@@ -144,12 +149,60 @@ class SystemInstance:
             raise ValueError("alpha and beta must be nonnegative")
 
 
-def _sieve_step(acc: int, m: int, a: int, domain: Domain, bound: int) -> int:
-    """One sumset step: OR over values v = P_m(x) of acc << a*v, masked to [0, bound]."""
+# From this bound up a sieve step runs on numpy words.  Each numpy call costs
+# a fixed 1-2 us, so on short vectors the big-int loop wins by 10-25x; the two
+# break even between 2^16 and 2^17 bits (5-coefficient forms, m = 3 and 10),
+# and at 2^19-2^21 bits the word path is 3-10x faster.
+_WORD_SIEVE_MIN_BOUND = 1 << 17
+
+
+def _shift_or_int(acc: int, a: int, values: list[int], bound: int) -> int:
+    """OR over v in values of acc << a*v, masked to [0, bound], on one big int."""
     out = 0
-    for v in polygonal_values(m, bound // a, domain):
+    for v in values:
         out |= acc << (a * v)
     return out & ((1 << (bound + 1)) - 1)
+
+
+def _shift_or_words(acc: int, a: int, values: list[int], bound: int) -> int:
+    """The same OR on little-endian uint64 words (the MGRS body layout).
+
+    Shifts are grouped by their residue mod 64: one bit-shifted copy of acc
+    per residue, then one word-aligned in-place OR per shift.
+    """
+    nwords = (bound + 64) // 64
+    if acc.bit_length() > bound + 1:
+        acc &= (1 << (bound + 1)) - 1
+    words = np.frombuffer(acc.to_bytes(8 * nwords, "little"), dtype="<u8")
+    # words of a shifted copy past the top of acc (plus its carry) are zero
+    span = min(nwords, (acc.bit_length() + 63) // 64 + 1)
+    by_residue: dict[int, list[int]] = {}
+    for v in values:
+        q, r = divmod(a * v, 64)
+        by_residue.setdefault(r, []).append(q)
+    out = np.zeros(nwords, dtype="<u8")
+    shifted = np.empty(nwords, dtype="<u8")
+    for r, qs in by_residue.items():
+        if r:
+            np.left_shift(words, r, out=shifted)
+            shifted[1:] |= words[:-1] >> (64 - r)  # bits carried up from the word below
+            sh = shifted
+        else:
+            sh = words
+        for q in qs:
+            n = min(span, nwords - q)
+            np.bitwise_or(out[q : q + n], sh[:n], out=out[q : q + n])
+    if (bound + 1) % 64:
+        out[-1] &= (1 << ((bound + 1) % 64)) - 1
+    return int.from_bytes(out.tobytes(), "little")
+
+
+def _sieve_step(acc: int, m: int, a: int, domain: Domain, bound: int) -> int:
+    """One sumset step: OR over values v = P_m(x) of acc << a*v, masked to [0, bound]."""
+    values = polygonal_values(m, bound // a, domain)
+    if bound >= _WORD_SIEVE_MIN_BOUND:
+        return _shift_or_words(acc, a, values, bound)
+    return _shift_or_int(acc, a, values, bound)
 
 
 def represented_set(
@@ -194,24 +247,38 @@ def truant_with_escalation(
 
 # --- witness search ---------------------------------------------------------
 
-_SUFFIX_CACHE: dict[tuple, list[int]] = {}
+# (m, coeffs_desc, domain) -> (window, suffix masks up to it as little-endian bytes)
+_SUFFIX_CACHE: dict[tuple, tuple[int, list[bytes]]] = {}
 _SUFFIX_CACHE_MAX_BOUND = 1 << 20
 
 
 def _suffix_masks(m: int, coeffs_desc: tuple[int, ...], domain: Domain, bound: int) -> list[int]:
     """bits[i] = represented set of the sub-form coeffs_desc[i:], up to bound."""
-    key = (m, coeffs_desc, domain, bound)
-    cached = _SUFFIX_CACHE.get(key)
-    if cached is not None:
-        return cached
     masks = [1]
     for a in reversed(coeffs_desc):
         masks.append(_sieve_step(masks[-1], m, a, domain, bound))
     masks.reverse()
+    return masks
+
+
+def _suffix_window(m: int, coeffs_desc: tuple[int, ...], domain: Domain, n: int) -> tuple[int, list[bytes]]:
+    """(w, masks): cached suffix masks up to a window w >= min(n, 2^20).
+
+    A cached window at least that large is reused whatever n built it;
+    pruning is exact for every residual <= w, so a wider window finds the
+    same witness.  The masks are kept as bytes, so that testing one bit
+    costs the same in a wide window as in a narrow one.
+    """
+    key = (m, coeffs_desc, domain)
+    need = min(n, _SUFFIX_CACHE_MAX_BOUND)
+    cached = _SUFFIX_CACHE.get(key)
+    if cached is not None and cached[0] >= need:
+        return cached
     if len(_SUFFIX_CACHE) > 64:
         _SUFFIX_CACHE.clear()
-    _SUFFIX_CACHE[key] = masks
-    return masks
+    masks = _suffix_masks(m, coeffs_desc, domain, need)
+    _SUFFIX_CACHE[key] = need, [mask.to_bytes(need // 8 + 1, "little") for mask in masks]
+    return _SUFFIX_CACHE[key]
 
 
 def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tuple[int, ...] | None:
@@ -229,8 +296,7 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
     rank = form.rank
     order = sorted(range(rank), key=lambda i: -form.coeffs[i])
     coeffs_desc = tuple(form.coeffs[i] for i in order)
-    w = min(n, _SUFFIX_CACHE_MAX_BOUND)
-    masks = _suffix_masks(m, coeffs_desc, domain, w)
+    w, masks = _suffix_window(m, coeffs_desc, domain, n)
     pairs = [polygonal_pairs(m, n // a, domain) for a in coeffs_desc]
 
     assignment = [0] * rank
@@ -239,7 +305,7 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
         if residual < 0:
             return False
         if residual <= w:
-            return bool((masks[i] >> residual) & 1)
+            return bool(masks[i][residual >> 3] >> (residual & 7) & 1)
         return True  # beyond the cached window: cannot prune
 
     def dfs(i: int, residual: int) -> bool:

@@ -287,6 +287,37 @@ class TestCacheLayer:
         with pytest.raises(CacheFormatError):
             load_or_build_set(f, 200, Domain.NONNEG, tmp_path)
 
+    @pytest.mark.parametrize("first, then", [(800, 300), (200, 1000)])
+    def test_file_removed_after_listing_is_skipped(self, tmp_path, monkeypatch, first, then):
+        # another process removes the listed file before this one reads it
+        f = MgonalForm.make(6, [1, 2])
+        load_or_build_set(f, first, Domain.NONNEG, tmp_path)
+        real = cli._cache_candidates
+
+        def listing_then_removal(*args):
+            found = real(*args)
+            for _, path in found:
+                path.unlink()
+            return found
+
+        monkeypatch.setattr(cli, "_cache_candidates", listing_then_removal)
+        assert load_or_build_set(f, then, Domain.NONNEG, tmp_path) == represented_set(f, then)
+        assert [p.name for p in tmp_path.glob("*.bin")] == [cache_file_name(f, Domain.NONNEG, then)]
+
+    def test_file_removed_after_read_is_not_unlinked_twice(self, tmp_path, monkeypatch):
+        f = MgonalForm.make(6, [1, 2])
+        load_or_build_set(f, 200, Domain.NONNEG, tmp_path)
+        real = cli._read_cache
+
+        def read_then_removal(bound, path, *rest):
+            rset = real(bound, path, *rest)
+            path.unlink()
+            return rset
+
+        monkeypatch.setattr(cli, "_read_cache", read_then_removal)
+        assert load_or_build_set(f, 1000, Domain.NONNEG, tmp_path) == represented_set(f, 1000)
+        assert [p.name for p in tmp_path.glob("*.bin")] == [cache_file_name(f, Domain.NONNEG, 1000)]
+
     def test_domain_and_form_keys_disjoint(self, tmp_path):
         f = MgonalForm.make(6, [1, 2])
         g = MgonalForm.make(6, [1, 3])

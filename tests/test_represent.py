@@ -3,11 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgonal import represent
 from mgonal.errors import CacheFormatError, ResourceLimitError
-from mgonal.forms import Domain, MgonalForm, decompose
+from mgonal.forms import Domain, MgonalForm, decompose, polygonal_values
 from mgonal.represent import (
+    _WORD_SIEVE_MIN_BOUND,
     RepresentedSet,
     SystemInstance,
+    _shift_or_int,
+    _shift_or_words,
     _suffix_masks,
     represented_set,
     represents,
@@ -66,6 +70,84 @@ def test_sieve_and_suffix_masks_agree_with_brute(m, coeffs, domain, bound):
     assert masks[-1] == 1
     for i in range(1, len(desc)):
         assert masks[i] == represented_set(MgonalForm.make(m, desc[i:]), bound, domain).bits
+
+
+@st.composite
+def sieve_bounds(draw):
+    """Bounds near the word-path crossover (both sides) or small; bound + 1 a
+    multiple of 64 or not."""
+    bound = draw(st.one_of(st.integers(1, 700), st.integers(-2000, 2000).map(lambda d: _WORD_SIEVE_MIN_BOUND + d)))
+    if draw(st.booleans()):
+        bound = bound // 64 * 64 + 63
+    return bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.integers(1, 6),
+    st.sampled_from(list(Domain)),
+    sieve_bounds(),
+    st.sampled_from(["one", "sparse", "dense", "past bound"]),
+    st.randoms(use_true_random=False),
+)
+def test_word_step_matches_bigint_step(m, a, domain, bound, density, rng):
+    if density == "one":
+        acc = 1
+    elif density == "sparse":
+        acc = sum(1 << rng.randrange(bound + 1) for _ in range(5))
+    elif density == "dense":
+        acc = rng.getrandbits(bound + 1)
+    else:  # the step drops bits above bound
+        acc = rng.getrandbits(bound + 1) | 1 << (bound + 1 + rng.randrange(200))
+    values = polygonal_values(m, bound // a, domain)
+    assert _shift_or_words(acc, a, values, bound) == _shift_or_int(acc, a, values, bound)
+
+
+def test_mgrs_bytes_above_crossover_match_bigint_loop():
+    bound = _WORD_SIEVE_MIN_BOUND + 1000
+    for form, domain in ((MgonalForm.make(7, [1, 2, 2, 3, 5]), Domain.NONNEG), (MgonalForm.make(10, [1, 3, 4]), Domain.INT)):
+        acc = 1
+        for a in form.coeffs:
+            acc = _shift_or_int(acc, a, polygonal_values(form.m, bound // a, domain), bound)
+        want = RepresentedSet(form, domain, bound, acc).to_bytes()
+        assert represented_set(form, bound, domain).to_bytes() == want
+
+
+def test_suffix_window_reused_for_smaller_n(monkeypatch):
+    f = MgonalForm.make(5, [1, 1, 2, 3, 5])
+    big, small = 4000, 350
+    cold = {}
+    for n in (big, small):
+        monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+        cold[n] = represents(f, n)
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    builds = []
+    real = represent._suffix_masks
+
+    def counting(*args):
+        builds.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(represent, "_suffix_masks", counting)
+    assert represents(f, big) == cold[big]
+    assert represents(f, small) == cold[small]
+    assert builds == [big]  # the smaller n reused the window built for the larger one
+    represents(f, big + 1)
+    assert builds == [big, big + 1]  # a window too small is rebuilt
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.sampled_from(list(Domain)),
+    st.integers(1, 3000),
+    st.integers(0, 3100),
+)
+def test_missing_lists_every_gap(m, coeffs, domain, bound, start):
+    rs = represented_set(MgonalForm.make(m, coeffs), bound, domain)
+    assert rs.missing(start) == [n for n in range(start, bound + 1) if not rs.contains(n)]
 
 
 def test_bit_zero_always_set():
