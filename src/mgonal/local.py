@@ -9,7 +9,10 @@ valuation of a gradient entry 2*a_i*x_i); if the refinement survives to
     e_max = ord_p(t) + ord_p(4 * prod(a_i)) + 3
 
 with no liftable class, no solution exists: any class mod p^e_max would force
-every term's valuation past ord_p(t), contradicting the equation.
+every term's valuation past ord_p(t), contradicting the equation.  The walk is
+depth-first and the surviving classes of each level come from a generator
+(`_refinement_children`), so a walk that finds a liftable class at the first
+child of every level never decodes the other classes.
 
 `mgonal_represents_zp` reduces the m-gonal equation to that kernel through a
 four-way (p, m) case split; `locally_represented` conjoins the verdicts over
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
@@ -106,8 +110,41 @@ def _canonical_target(t: int, p: int) -> int:
     return p**j * nonres
 
 
+# Trial division stops at this factor (about 2^20): every n below its square
+# is factored outright, in at most ~175k steps.
+_TRIAL_DIVISION_LIMIT = 1 << 20
+# Miller-Rabin with the primes 2..41 as bases is a proof of primality below
+# this bound: it is the least strong pseudoprime to all thirteen bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Strong-probable-prime test of an odd n > 41 to every base in `_MR_BASES`."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_factors(n: int) -> list[int]:
-    """Sorted prime divisors of |n| (trial division; inputs are desk-scale)."""
+    """Sorted prime divisors of |n|.
+
+    Trial division up to `_TRIAL_DIVISION_LIMIT`; a cofactor left past its
+    square must be proved prime by Miller-Rabin (exact below
+    `_MR_EXACT_BELOW`), else a ResourceLimitError is raised.
+    """
     n = abs(n)
     out = []
     for q in (2, 3):
@@ -117,6 +154,11 @@ def _prime_factors(n: int) -> list[int]:
                 n //= q
     f = 5
     while f * f <= n:
+        if f > _TRIAL_DIVISION_LIMIT:
+            if n < _MR_EXACT_BELOW and _is_prime_mr(n):
+                break
+            limit = _TRIAL_DIVISION_LIMIT
+            raise ResourceLimitError(f"cannot factor {n}: no factor up to {limit}, not proved prime")
         for q in (f, f + 2):
             if n % q == 0:
                 out.append(q)
@@ -201,9 +243,13 @@ def quad_diag_represents_zp(
 
 
 def _refinement_children(coeffs, xs, t, p, pe, mod):
-    """Surviving classes xs + pe*delta of the next refinement level.
+    """Surviving classes xs + pe*delta of the next refinement level, yielded
+    lazily in lexicographic order of delta.
 
-    Vectorized when the arithmetic fits int64, exact Python ints past that.
+    Vectorized when the arithmetic fits int64 (the survivors are found and
+    decoded in bulk, then handed out one at a time), exact Python ints past
+    that.  The walk usually stops at the first child, so nothing is turned
+    into Python tuples ahead of need.
     """
     n = len(coeffs)
     if (pe * p) ** 2 * sum(coeffs) < (1 << 62):
@@ -214,23 +260,13 @@ def _refinement_children(coeffs, xs, t, p, pe, mod):
             total = (total[:, None] + term[None, :]).reshape(-1)
         # t may exceed int64; only its class mod `mod` matters
         keep = np.flatnonzero((total - t % mod) % mod == 0)
-        out = []
-        for flat in keep:
-            flat = int(flat)
-            ds = [0] * n
-            for i in range(n - 1, -1, -1):
-                ds[i] = flat % p
-                flat //= p
-            out.append(tuple(x + pe * d for x, d in zip(xs, ds)))
-        return out
-    from itertools import product
-
-    out = []
+        deltas = np.unravel_index(keep, (p,) * n)
+        yield from zip(*((x + pe * d).tolist() for x, d in zip(xs, deltas)))
+        return
     for d in product(range(p), repeat=n):
         ys = tuple(x + pe * di for x, di in zip(xs, d))
         if (sum(a * y * y for a, y in zip(coeffs, ys)) - t) % mod == 0:
-            out.append(ys)
-    return out
+            yield ys
 
 
 def _refinement_search(coeffs, t, p, e_max, node_budget=NODE_BUDGET):

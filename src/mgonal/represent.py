@@ -13,11 +13,21 @@ Three engines live here:
 
 Both sieves, the full set and the witness search's suffix masks, are built
 from one step, `_sieve_step`: acc -> OR over v of acc << a*P_m(v), masked to
-[0, bound], applied once per coefficient.  The step has two implementations
-with the same bits, chosen by bound: a loop of big-int shifts and ORs for
-short vectors, where numpy's fixed cost per call would dominate, and
-in-place ORs on numpy uint64 words, grouped by shift residue mod 64, from the
-measured break-even (`_WORD_SIEVE_MIN_BOUND`, 2^17 bits) up.
+[0, bound], applied once per coefficient.  The accumulator keeps one form
+from the first step to the last: a big int below the measured break-even
+`_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's fixed cost per call would
+dominate and the step is a loop of big-int shifts and ORs; little-endian
+numpy uint64 words from there up, where the step takes one of two ways:
+
+* when acc is sparse (its set bits times the shifts fit in the word array,
+  as in the first step, acc = 1), every sum of a set bit and a shift is
+  scattered into the words (`_shift_or_ones`);
+* otherwise shifted copies of acc are ORed in place, grouped by shift
+  residue mod 64 (`_shift_or_words`).  Once the output's gaps are few (at
+  once when acc is dense, as in the last steps of most sieves, or after a
+  few groups) and testing them is cheaper than ORing on, the shifts left are
+  tested on the gaps instead, each gap only against the shifts below it,
+  and the output is all ones but the gaps no shift fills.
 
 The sieve serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
 """
@@ -82,13 +92,8 @@ class RepresentedSet:
 
     def missing(self, start: int = 1) -> list[int]:
         """All non-represented integers in [start, bound], ascending."""
-        mask = ((1 << (self.bound + 1)) - 1) & ~((1 << start) - 1)
-        gaps = ~self.bits & mask
-        words = np.frombuffer(gaps.to_bytes((self.bound + 64) // 64 * 8, "little"), dtype="<u8")
-        hot = np.flatnonzero(words)
-        unpacked = np.unpackbits(words[hot].view(np.uint8), bitorder="little").reshape(-1, 64)
-        row, col = np.nonzero(unpacked)
-        return (hot[row] * 64 + col).tolist()
+        gaps = _set_bits(~_int_to_words(self.bits, self.bound), self.bound)
+        return gaps[np.searchsorted(gaps, start) :].tolist()
 
     def truncated(self, bound: int) -> "RepresentedSet":
         if bound > self.bound:
@@ -155,6 +160,21 @@ class SystemInstance:
 # and at 2^19-2^21 bits the word path is 3-10x faster.
 _WORD_SIEVE_MIN_BOUND = 1 << 17
 
+# The word path checks the output so far before its 1st, 2nd, 4th, 8th, ...
+# residue group.  Once it has at most one gap per this many bits, it lists
+# them and may finish the step on them.  512 is the smallest spacing at which
+# listing them unpacks no more bytes than the words hold (and the gaps' int64
+# array is an eighth of that); the global_sieve benchmark's sieves took the
+# same time, within noise, at spacings from 256 to 2048.
+_GAP_SPACING = 512
+
+# Testing one gap against one shift costs about as much as ORing this many
+# words (measured 50-80, with gaps that no shift fills, at 2^19 and 2^22
+# bits).  The word path finishes on the gaps when the tests left, each gap
+# against every shift left below it, cost less than ORing the shifts left;
+# then even gaps that no shift fills cost no more than ORing every shift.
+_GAP_TEST_COST = 64
+
 
 def _shift_or_int(acc: int, a: int, values: list[int], bound: int) -> int:
     """OR over v in values of acc << a*v, masked to [0, bound], on one big int."""
@@ -164,25 +184,50 @@ def _shift_or_int(acc: int, a: int, values: list[int], bound: int) -> int:
     return out & ((1 << (bound + 1)) - 1)
 
 
-def _shift_or_words(acc: int, a: int, values: list[int], bound: int) -> int:
-    """The same OR on little-endian uint64 words (the MGRS body layout).
+def _shift_or_words(words: np.ndarray, a: int, values: list[int], bound: int) -> np.ndarray:
+    """The same OR on little-endian uint64 words (the MGRS body layout), for
+    ascending values with values[0] = P_m(0) = 0; new words, zero past bound.
 
-    Shifts are grouped by their residue mod 64: one bit-shifted copy of acc
-    per residue, then one word-aligned in-place OR per shift.
+    The output starts as acc (the v = 0 term).  The other shifts are grouped
+    by residue mod 64, largest group first: one bit-shifted copy of acc per
+    residue, then one word-aligned in-place OR per shift.  Before the 1st,
+    2nd, 4th, 8th, ... group the output is checked: once it has at most one
+    gap per `_GAP_SPACING` bits and testing them costs less than ORing on
+    (`_GAP_TEST_COST`), the shifts left are tested on those gaps instead
+    (`_unfilled`), and the output is all ones but the gaps none of them
+    fills.  A dense acc is never ORed at all; a sparse one fills up after a
+    few groups.
     """
-    nwords = (bound + 64) // 64
-    if acc.bit_length() > bound + 1:
-        acc &= (1 << (bound + 1)) - 1
-    words = np.frombuffer(acc.to_bytes(8 * nwords, "little"), dtype="<u8")
-    # words of a shifted copy past the top of acc (plus its carry) are zero
-    span = min(nwords, (acc.bit_length() + 63) // 64 + 1)
+    nwords = words.size
+    out = words.copy()
+    shifted = np.empty(nwords, dtype="<u8")  # a shifted copy of acc, or ~out
+    shifts = a * np.asarray(values[1:], dtype=np.int64)
+
+    def on_gaps(done: list[int]) -> np.ndarray | None:
+        """The step's words from out's gaps and the shifts whose residue is
+        not in done, or None while that would cost more than ORing them."""
+        gaps = _set_bits(np.invert(out, out=shifted), bound, most=64 * nwords // _GAP_SPACING)
+        if gaps is None:
+            return None
+        rest = shifts[~np.isin(shifts & 63, done)]
+        if int(np.searchsorted(rest, gaps, side="right").sum()) * _GAP_TEST_COST > rest.size * nwords:
+            return None
+        filled = _words_with_bits(_unfilled(words, gaps, rest), nwords)
+        return _mask_tail(np.invert(filled, out=filled), bound)
+
+    got = on_gaps([])
+    if got is not None:
+        return got
     by_residue: dict[int, list[int]] = {}
-    for v in values:
-        q, r = divmod(a * v, 64)
+    for s in shifts.tolist():
+        q, r = divmod(s, 64)
         by_residue.setdefault(r, []).append(q)
-    out = np.zeros(nwords, dtype="<u8")
-    shifted = np.empty(nwords, dtype="<u8")
-    for r, qs in by_residue.items():
+    groups = sorted(by_residue.items(), key=lambda group: -len(group[1]))
+    for k, (r, qs) in enumerate(groups):
+        if k & (k + 1) == 0 and k:  # k = 1, 3, 7, ...
+            got = on_gaps([done for done, _ in groups[:k]])
+            if got is not None:
+                return got
         if r:
             np.left_shift(words, r, out=shifted)
             shifted[1:] |= words[:-1] >> (64 - r)  # bits carried up from the word below
@@ -190,19 +235,109 @@ def _shift_or_words(acc: int, a: int, values: list[int], bound: int) -> int:
         else:
             sh = words
         for q in qs:
-            n = min(span, nwords - q)
-            np.bitwise_or(out[q : q + n], sh[:n], out=out[q : q + n])
+            out[q:] |= sh[: nwords - q]
+    return _mask_tail(out, bound)
+
+
+def _unfilled(words: np.ndarray, gaps: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The gaps g that no shift fills: no s <= g in shifts has bit g - s set in words.
+
+    shifts are ascending and positive.  The gaps are tested against blocks
+    of shifts in ascending order, dropping each gap as soon as it is filled;
+    shifts above the largest gap left are never tested.  A block holds at
+    most a quarter as many (gap, shift) pairs as there are words, so its few
+    int64 temporaries together take about as much room as the words.
+    """
+    i = 0
+    while gaps.size:
+        end = int(np.searchsorted(shifts, gaps[-1], side="right"))
+        if i >= end:
+            break
+        block = shifts[i : min(end, i + max(1, words.size // 4 // gaps.size))]
+        i += block.size
+        src = gaps[:, None] - block
+        got = np.take(words, src >> 6, mode="clip") >> (src & 63).astype(np.uint64)
+        gaps = gaps[~((src >= 0) & (got & np.uint64(1) != 0)).any(axis=1)]
+    return gaps
+
+
+def _shift_or_ones(ones: np.ndarray, a: int, values: list[int], bound: int) -> np.ndarray:
+    """The same OR for a sparse acc given by its set bits: each set bit plus
+    each shift, scattered into words."""
+    sums = (ones[:, None] + a * np.asarray(values, dtype=np.int64)).ravel()
+    return _words_with_bits(sums[sums <= bound], (bound + 64) // 64)
+
+
+def _int_to_words(bits: int, bound: int) -> np.ndarray:
+    """Bits 0..bound of a big int as little-endian uint64 words (read-only)."""
+    if bits.bit_length() > bound + 1:
+        bits &= (1 << (bound + 1)) - 1
+    return np.frombuffer(bits.to_bytes((bound + 64) // 64 * 8, "little"), dtype="<u8")
+
+
+def _mask_tail(words: np.ndarray, bound: int) -> np.ndarray:
+    """Clear the bits past bound in the last word, in place; returns words."""
     if (bound + 1) % 64:
-        out[-1] &= (1 << ((bound + 1) % 64)) - 1
-    return int.from_bytes(out.tobytes(), "little")
+        words[-1] &= np.uint64((1 << ((bound + 1) % 64)) - 1)
+    return words
 
 
-def _sieve_step(acc: int, m: int, a: int, domain: Domain, bound: int) -> int:
+def _set_bits(words: np.ndarray, bound: int, most: int | None = None) -> np.ndarray | None:
+    """Ascending positions <= bound of the set bits of little-endian uint64 words.
+
+    None when more than `most` bits are set, found before more than 64 * most
+    bytes are unpacked.
+    """
+    if most is not None and np.count_nonzero(words) > most:
+        return None
+    hot = np.flatnonzero(words)
+    bits = np.unpackbits(words[hot].view(np.uint8), bitorder="little").view(bool)
+    if most is not None and np.count_nonzero(bits) > most:
+        return None
+    # bit k of the unpacked hot words is bit k % 64 of hot word k // 64
+    k = np.flatnonzero(bits)
+    pos = hot[k >> 6] * 64 + (k & 63)
+    return pos[: np.searchsorted(pos, bound, side="right")]
+
+
+def _words_with_bits(pos: np.ndarray, nwords: int) -> np.ndarray:
+    """nwords little-endian uint64 words with the bits at pos set (pos may repeat)."""
+    out = np.zeros(nwords, dtype="<u8")
+    np.bitwise_or.at(out, pos >> 6, np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64)))
+    return out
+
+
+# The accumulator of the sieve steps: a big int below _WORD_SIEVE_MIN_BOUND,
+# little-endian uint64 words, zero past bound, from there up; it stays in
+# that form from the first step to the last.
+_Acc = int | np.ndarray
+
+
+def _sieve_start(bound: int) -> _Acc:
+    """The accumulator of the empty form: only 0 is represented."""
+    if bound < _WORD_SIEVE_MIN_BOUND:
+        return 1
+    words = np.zeros((bound + 64) // 64, dtype="<u8")
+    words[0] = 1
+    return words
+
+
+def _sieve_bits(acc: _Acc, bound: int) -> int:
+    """The big int of an accumulator."""
+    if bound < _WORD_SIEVE_MIN_BOUND:
+        return acc
+    return int.from_bytes(acc.tobytes(), "little")
+
+
+def _sieve_step(acc: _Acc, m: int, a: int, domain: Domain, bound: int) -> _Acc:
     """One sumset step: OR over values v = P_m(x) of acc << a*v, masked to [0, bound]."""
     values = polygonal_values(m, bound // a, domain)
-    if bound >= _WORD_SIEVE_MIN_BOUND:
-        return _shift_or_words(acc, a, values, bound)
-    return _shift_or_int(acc, a, values, bound)
+    if bound < _WORD_SIEVE_MIN_BOUND:
+        return _shift_or_int(acc, a, values, bound)
+    ones = _set_bits(acc, bound, most=acc.size // len(values))  # the sums fit in the word array
+    if ones is not None:
+        return _shift_or_ones(ones, a, values, bound)
+    return _shift_or_words(acc, a, values, bound)
 
 
 def represented_set(
@@ -216,10 +351,10 @@ def represented_set(
         raise ValueError(f"bound must be >= 1, got {bound}")
     if bound > bound_cap:
         raise ResourceLimitError(f"bound {bound} exceeds cap {bound_cap}")
-    acc = 1  # the all-zero assignment represents 0
+    acc = _sieve_start(bound)
     for a in form.coeffs:
         acc = _sieve_step(acc, form.m, a, domain, bound)
-    return RepresentedSet(form, domain, bound, acc)
+    return RepresentedSet(form, domain, bound, _sieve_bits(acc, bound))
 
 
 def truant_up_to(form: MgonalForm, bound: int, domain: Domain = Domain.NONNEG) -> int | None:
@@ -254,11 +389,10 @@ _SUFFIX_CACHE_MAX_BOUND = 1 << 20
 
 def _suffix_masks(m: int, coeffs_desc: tuple[int, ...], domain: Domain, bound: int) -> list[int]:
     """bits[i] = represented set of the sub-form coeffs_desc[i:], up to bound."""
-    masks = [1]
+    masks = [_sieve_start(bound)]
     for a in reversed(coeffs_desc):
         masks.append(_sieve_step(masks[-1], m, a, domain, bound))
-    masks.reverse()
-    return masks
+    return [_sieve_bits(mask, bound) for mask in reversed(masks)]
 
 
 def _suffix_window(m: int, coeffs_desc: tuple[int, ...], domain: Domain, n: int) -> tuple[int, list[bytes]]:
@@ -297,7 +431,9 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
     order = sorted(range(rank), key=lambda i: -form.coeffs[i])
     coeffs_desc = tuple(form.coeffs[i] for i in order)
     w, masks = _suffix_window(m, coeffs_desc, domain, n)
-    pairs = [polygonal_pairs(m, n // a, domain) for a in coeffs_desc]
+    # coefficient -> (value, x) pairs up to n // a, built when a level first
+    # needs them (the last level tests its residual with `is_polygonal`)
+    pairs: dict[int, list[tuple[int, int]]] = {}
 
     assignment = [0] * rank
 
@@ -318,7 +454,9 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
                 return False
             assignment[i] = x
             return True
-        level = pairs[i]
+        level = pairs.get(a)
+        if level is None:
+            level = pairs[a] = polygonal_pairs(m, n // a, domain)
         hi = bisect.bisect_right(level, (residual // a, float("inf")))
         for j in range(hi - 1, -1, -1):  # largest term first prunes fastest
             v, x = level[j]

@@ -223,6 +223,21 @@ def test_local_past_int64_targets(capsys):
     assert 2 in {v["p"] for v in payload["verdicts"]}
 
 
+@pytest.mark.parametrize(
+    "n, code",
+    [
+        (2**70, 0),  # 24n + 3 = 3 * 1753 * a prime past 2^40, proved by Miller-Rabin
+        ((1048601 * 33554473 * 33554593 - 1) // 8, 3),  # 8n + 1: three primes past 2^20
+    ],
+)
+def test_local_low_rank_huge_target_exits_without_traceback(capsys, n, code):
+    # rank 2 factors the reduced target 24n + 3 to find its obstruction primes
+    assert main(["local", "--m", "5", "--coeffs", "1,2", "--n", str(n)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("resource limit" in err) == (code == 3)
+
+
 def test_td5_count(capsys):
     code, out = run_cli(capsys, "td5", "--count-only")
     assert code == 0 and int(out) == 192

@@ -1,12 +1,21 @@
 import math
 import random
+from itertools import product
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgonal import local
 from mgonal.errors import ResourceLimitError
 from mgonal.forms import Domain, MgonalForm
 from mgonal.local import (
+    _MR_EXACT_BELOW,
+    _TRIAL_DIVISION_LIMIT,
+    _is_prime_mr,
+    _prime_factors,
+    _refinement_children,
     _unit_form_represents_zp,
     LocalReason,
     e_max_level,
@@ -116,6 +125,109 @@ class TestQuadKernel:
         j = data.draw(st.integers(0, int(80 / math.log2(p))))
         t = data.draw(st.integers(1, (1 << 80) // p**j)) * p**j
         assert quad_diag_represents_zp(coeffs, t, p)[0] == _unit_form_represents_zp(coeffs, t, p)
+
+
+def eager_children(coeffs, xs, t, p, pe, mod):
+    """The refinement children as one list, decoded digit by digit: the
+    kernel's enumeration before it became lazy, kept as its reference."""
+    n = len(coeffs)
+    if (pe * p) ** 2 * sum(coeffs) < (1 << 62):
+        digits = np.arange(p, dtype=np.int64)
+        total = (coeffs[0] * (xs[0] + pe * digits) ** 2).reshape(-1)
+        for i in range(1, n):
+            term = coeffs[i] * (xs[i] + pe * digits) ** 2
+            total = (total[:, None] + term[None, :]).reshape(-1)
+        keep = np.flatnonzero((total - t % mod) % mod == 0)
+        out = []
+        for flat in keep:
+            flat = int(flat)
+            ds = [0] * n
+            for i in range(n - 1, -1, -1):
+                ds[i] = flat % p
+                flat //= p
+            out.append(tuple(x + pe * d for x, d in zip(xs, ds)))
+        return out
+    out = []
+    for d in product(range(p), repeat=n):
+        ys = tuple(x + pe * di for x, di in zip(xs, d))
+        if (sum(a * y * y for a, y in zip(coeffs, ys)) - t) % mod == 0:
+            out.append(ys)
+    return out
+
+
+class TestLazyRefinement:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(st.integers(1, 30), min_size=1, max_size=4),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 45),
+        st.data(),
+    )
+    def test_children_match_eager_list_in_order(self, coeffs, p, e, data):
+        # e from 0 up crosses from the int64 grid to the exact big-int loop
+        pe = p**e
+        xs = tuple(data.draw(st.integers(0, pe - 1)) for _ in coeffs)
+        t = data.draw(st.integers(1, 1 << 90))
+        got = list(_refinement_children(coeffs, xs, t, p, pe, pe * p))
+        assert got == eager_children(coeffs, xs, t, p, pe, pe * p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(1, 14), min_size=1, max_size=4).map(sorted),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(1, 400),
+        st.integers(0, 12),
+    )
+    def test_search_same_verdict_and_certificate_as_eager(self, coeffs, p, t, j):
+        # t * p^j walks deeper; j = 12 at p = 7 reaches the big-int children
+        t *= p**j
+        got = quad_diag_represents_zp(coeffs, t, p)
+        with mock.patch.object(local, "_refinement_children", eager_children):
+            assert got == quad_diag_represents_zp(coeffs, t, p)
+        if j <= 2:
+            assert got[0] == congruence_solvable_quad(coeffs, t, p, e_max_level(coeffs, t, p))
+
+
+class TestPrimeFactors:
+    def test_matches_trial_division(self):
+        rng = random.Random(4)
+        for n in [1, 2, 12, 97, 2**31 - 1, 600851475143] + [rng.randrange(1, 10**12) for _ in range(300)]:
+            out, r, q = [], n, 2
+            while q * q <= r:
+                if r % q == 0:
+                    out.append(q)
+                    while r % q == 0:
+                        r //= q
+                q += 1
+            assert _prime_factors(n) == out + ([r] if r > 1 else []), n
+
+    def test_miller_rabin_exact_below_its_bound(self):
+        sieve = np.ones(200_000, dtype=bool)
+        sieve[:2] = False
+        for q in range(2, 448):
+            sieve[q * q :: q] = False
+        for n in range(43, 200_000, 2):
+            assert _is_prime_mr(n) == sieve[n], n
+        # Carmichael numbers, and strong pseudoprimes to the bases 2; 2, 3; 2..7; 2..23
+        composites = (561, 41041, 825265, 2047, 1373653, 3215031751, 3825123056546413051)
+        assert not any(_is_prime_mr(n) for n in composites)
+        # the bound is the least composite that passes all thirteen bases
+        assert _is_prime_mr(_MR_EXACT_BELOW) and _MR_EXACT_BELOW == 1287836182261 * 2575672364521
+
+    def test_large_prime_cofactor_proved(self):
+        big = 1795918038741070627  # prime, past the trial-division limit squared
+        assert _prime_factors(3 * 1753 * big) == [3, 1753, big]
+        assert _prime_factors((2**61 - 1) * 5**3) == [5, 2**61 - 1]
+
+    def test_unfactorable_cofactor_is_a_budget_error(self):
+        p, q = 1048601, 33554473  # primes just past 2^20 and 2^25
+        assert p > _TRIAL_DIVISION_LIMIT
+        with pytest.raises(ResourceLimitError):
+            _prime_factors(p * q)
+        with pytest.raises(ResourceLimitError):  # passes Miller-Rabin, but at the bound
+            _prime_factors(_MR_EXACT_BELOW)
+        with pytest.raises(ResourceLimitError):  # prime, but past the proof bound
+            _prime_factors(2**89 - 1)
 
 
 class TestPropositionCases:

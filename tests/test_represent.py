@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,13 @@ from mgonal.represent import (
     _WORD_SIEVE_MIN_BOUND,
     RepresentedSet,
     SystemInstance,
+    _int_to_words,
+    _set_bits,
     _shift_or_int,
+    _shift_or_ones,
     _shift_or_words,
+    _sieve_bits,
+    _sieve_step,
     _suffix_masks,
     represented_set,
     represents,
@@ -82,26 +88,60 @@ def sieve_bounds(draw):
     return bound
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(3, 12),
-    st.integers(1, 6),
-    st.sampled_from(list(Domain)),
-    sieve_bounds(),
-    st.sampled_from(["one", "sparse", "dense", "past bound"]),
-    st.randoms(use_true_random=False),
-)
-def test_word_step_matches_bigint_step(m, a, domain, bound, density, rng):
-    if density == "one":
+@st.composite
+def step_accs(draw, bound):
+    """An accumulator for one sieve step at `bound`: sparse, dense, full, or
+    with a few gaps (in a count of words at the word path's gap check +-1,
+    only near bound, a run of low zeros that no shift can fill, or gaps
+    below the smallest shift tested with shifts far above them); sometimes
+    with bits past bound, which the step drops."""
+    rng = draw(st.randoms(use_true_random=False))
+    full = (1 << (bound + 1)) - 1
+    kinds = ["one", "sparse", "dense", "full", "few gaps", "near bound", "low zeros", "low gaps"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "one":
         acc = 1
-    elif density == "sparse":
+    elif kind == "sparse":
         acc = sum(1 << rng.randrange(bound + 1) for _ in range(5))
-    elif density == "dense":
+    elif kind == "dense":
         acc = rng.getrandbits(bound + 1)
-    else:  # the step drops bits above bound
-        acc = rng.getrandbits(bound + 1) | 1 << (bound + 1 + rng.randrange(200))
+    elif kind == "full":
+        acc = full
+    elif kind == "few gaps":  # in as many words as the gap check allows, +-1
+        nwords = (bound + 64) // 64
+        at = 64 * nwords // represent._GAP_SPACING
+        k = min(nwords, max(1, draw(st.sampled_from([1, 3, at - 1, at, at + 1]))))
+        acc = full ^ sum(1 << (64 * w + rng.randrange(64)) & full for w in rng.sample(range(nwords), k))
+    elif kind == "near bound":
+        acc = full & ~sum(1 << (bound - rng.randrange(min(bound + 1, 100))) for _ in range(3))
+    elif kind == "low zeros":  # zeros closed under subtracting any shift
+        acc = full ^ ((1 << rng.randint(1, min(bound + 1, 400))) - 1)
+    else:  # gaps 1-5, below the smallest shift for a > 5, and one far above them
+        acc = full & ~(0b111110 | 1 << rng.randint(6, max(6, bound)))
+    if draw(st.booleans()):
+        acc |= rng.getrandbits(200) << (bound + 1)
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(3, 12), st.integers(1, 8), st.sampled_from(list(Domain)), sieve_bounds())
+def test_word_step_matches_bigint_step(data, m, a, domain, bound):
+    """Every word-domain implementation of the step, and the step's own choice
+    among them, against the big-int loop; the word path also with its switch
+    to gap tests taken at the first check that lists the gaps (cost 0) and
+    never taken (cost huge)."""
+    acc = data.draw(step_accs(bound))
     values = polygonal_values(m, bound // a, domain)
-    assert _shift_or_words(acc, a, values, bound) == _shift_or_int(acc, a, values, bound)
+    want = _shift_or_int(acc, a, values, bound)
+    words = _int_to_words(acc, bound)
+    for cost in (0, represent._GAP_TEST_COST, 10**12):
+        with mock.patch.object(represent, "_GAP_TEST_COST", cost):
+            assert int.from_bytes(_shift_or_words(words, a, values, bound).tobytes(), "little") == want
+    ones = _set_bits(words, bound)
+    if ones.size * len(values) <= 1 << 16:
+        assert int.from_bytes(_shift_or_ones(ones, a, values, bound).tobytes(), "little") == want
+    vector = acc if bound < _WORD_SIEVE_MIN_BOUND else words
+    assert _sieve_bits(_sieve_step(vector, m, a, domain, bound), bound) == want
 
 
 def test_mgrs_bytes_above_crossover_match_bigint_loop():
@@ -177,6 +217,18 @@ def test_represents_agrees_with_sieve_on_fixed_form():
         assert (w is not None) == rs.contains(n)
         if w is not None:
             assert f.evaluate(w) == n
+
+
+def test_represents_builds_each_level_once_and_skips_the_last(monkeypatch):
+    f = MgonalForm.make(5, [1, 2, 3, 3])
+    n = 5000
+    want = represents(f, n)
+    built = []
+    real = represent.polygonal_pairs
+    monkeypatch.setattr(represent, "polygonal_pairs", lambda m, b, d: built.append(b) or real(m, b, d))
+    assert represents(f, n) == want
+    # levels 3, 3, 2 share two lists; the last level (a = 1) tests is_polygonal
+    assert sorted(built) == [n // 3, n // 2]
 
 
 def test_represents_agrees_with_sieve_randomized():
