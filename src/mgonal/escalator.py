@@ -21,7 +21,7 @@ from functools import partial
 
 from .errors import ResourceLimitError
 from .forms import Domain, MgonalForm
-from .local import _canonical_target, _prime_factors, _vp, locally_represented, quad_diag_represents_zp
+from .local import _prime_factors, _represents_zp, _unit_classes, locally_represented
 from .represent import represented_set, truant_up_to
 
 __all__ = [
@@ -170,28 +170,17 @@ def local_universal_quad(coeffs) -> bool:
     """Is the diagonal quadratic form with these coefficients universal over
     every Z_p?
 
-    Only p = 2 and odd primes dividing some coefficient can obstruct; for each
-    such p the targets are swept over residues mod 8 * prod(p_odd^2) scaled by
-    p-powers up to the kernel's stabilization depth.  Unit-square-equivalent
-    targets share one kernel decision.
+    Only p = 2 and odd primes dividing some coefficient can obstruct.  For
+    each such p only the square classes of valuation 0 and 1 are checked:
+    if x solves t then p*x solves p^2 t, so a class p^(2k) u is hit whenever
+    u is, and every class is p^(2k) times one of valuation 0 or 1.
     """
     coeffs = tuple(sorted(int(a) for a in coeffs))
     if any(a < 1 for a in coeffs):
         raise ValueError("coefficients must be positive")
-    prod = math.prod(coeffs)
-    odd_rel = [p for p in _prime_factors(prod) if p != 2]
-    modulus = 8 * math.prod([p * p for p in odd_rel], start=1)
-    decided: dict[tuple[int, int], bool] = {}
-    for p in [2] + odd_rel:
-        j_cap = _vp(4 * prod, p) + 3
-        for r in range(1, modulus + 1):
-            for j in range(j_cap + 1):
-                key = (_canonical_target(r * p**j, p), p)
-                if key not in decided:
-                    decided[key] = quad_diag_represents_zp(coeffs, key[0], p)[0]
-                if not decided[key]:
-                    return False
-    return True
+    odd_rel = [p for p in _prime_factors(math.prod(coeffs)) if p != 2]
+    classes = [(p, u * p**j) for p in [2] + odd_rel for u in _unit_classes(p) for j in (0, 1)]
+    return all(_represents_zp(coeffs, t, p) for p, t in classes)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ depth-first and the surviving classes of each level come from a generator
 (`_refinement_children`), so a walk that finds a liftable class at the first
 child of every level never decodes the other classes.
 
-`mgonal_represents_zp` reduces the m-gonal equation to that kernel through a
-four-way (p, m) case split; `locally_represented` conjoins the verdicts over
-every prime that can obstruct.
+A verdict depends only on the target's square class (`_canonical_target`),
+so `_represents_zp` memoizes the kernel's verdicts per (coefficients, class,
+p), and every verdict below goes through it.  `mgonal_represents_zp` reduces
+the m-gonal equation to the kernel through a four-way (p, m) case split;
+`locally_represented` conjoins the verdicts over every prime that can
+obstruct.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -61,7 +65,6 @@ class LocalVerdict:
     p: int
     represented: bool
     reason: LocalReason
-    certificate: tuple[int, ...] | None = None
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "represented": self.represented, "reason": self.reason.value}
@@ -104,10 +107,27 @@ def _canonical_target(t: int, p: int) -> int:
     u = t // p**j
     if p == 2:
         return 2**j * (u % 8)
-    if pow(u % p, (p - 1) // 2, p) == 1:
-        return p**j
-    nonres = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1)
-    return p**j * nonres
+    return p**j * _unit_classes(p)[pow(u % p, (p - 1) // 2, p) != 1]
+
+
+def _unit_classes(p: int) -> tuple[int, ...]:
+    """Least representatives of the unit square classes of Z_p: the odd
+    residues mod 8 for p = 2; 1 and the least non-residue for odd p."""
+    if p == 2:
+        return (1, 3, 5, 7)
+    return (1, next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1))
+
+
+def _represents_zp(coeffs: tuple[int, ...], t: int, p: int) -> bool:
+    """The verdict of `quad_diag_represents_zp` on t, from the memo of t's class."""
+    if t <= 0:
+        return t == 0
+    return _class_represents_zp(coeffs, _canonical_target(t, p), p)
+
+
+@lru_cache(maxsize=1 << 14)
+def _class_represents_zp(coeffs: tuple[int, ...], t: int, p: int) -> bool:
+    return quad_diag_represents_zp(coeffs, t, p)[0]
 
 
 # Trial division stops at this factor (about 2^20): every n below its square
@@ -344,8 +364,7 @@ def mgonal_represents_zp(form: MgonalForm, n: int, p: int) -> LocalVerdict:
         target = 8 * (m - 2) * n_red * unit + s * unit * unit * (m - 4) ** 2
     else:  # p = 2, m divisible by 4
         target = ((m - 2) // 2) * n_red * unit + s * unit * unit * ((m - 4) // 4) ** 2
-    ok, cert = quad_diag_represents_zp(coeffs, target, p)
-    return LocalVerdict(p, ok, reason, cert)
+    return LocalVerdict(p, _represents_zp(coeffs, target, p), reason)
 
 
 def relevant_primes(form: MgonalForm) -> list[int]:
@@ -368,12 +387,8 @@ def _extra_primes_low_rank(form: MgonalForm, n: int, skip: set[int]) -> list[int
     g = form.coeff_gcd
     if n % g:
         return []  # some relevant prime already fails the divisibility step
-    coeffs = tuple(c // g for c in form.coeffs)
-    s = sum(coeffs)
     m = form.m
-    target = 8 * (m - 2) * (n // g) + s * (m - 4) ** 2
-    if target == 0:
-        return []
+    target = 8 * (m - 2) * (n // g) + form.coeff_sum // g * (m - 4) ** 2  # positive: n > 0
     return [q for q in _prime_factors(target) if q != 2 and q not in skip]
 
 
@@ -388,13 +403,8 @@ def locally_represented(form: MgonalForm, n: int) -> LocalProfile:
     primes = relevant_primes(form)
     if form.rank <= 2 and n > 0:
         primes = sorted(set(primes) | set(_extra_primes_low_rank(form, n, set(primes))))
-    verdicts: dict[int, LocalVerdict] = {}
-    overall = True
-    for p in primes:
-        v = mgonal_represents_zp(form, n, p)
-        verdicts[p] = v
-        overall = overall and v.represented
-    return LocalProfile(form, n, verdicts, overall)
+    verdicts = {p: mgonal_represents_zp(form, n, p) for p in primes}
+    return LocalProfile(form, n, verdicts, all(v.represented for v in verdicts.values()))
 
 
 def local_exceptions(form: MgonalForm, bound: int) -> list[int]:

@@ -11,23 +11,20 @@ Three engines live here:
   sum a_i x_i^2 = alpha, sum a_i x_i = beta, the auxiliary system every
   representation of A*(m-2)+B with parameter k reduces to.
 
-Both sieves, the full set and the witness search's suffix masks, are built
-from one step, `_sieve_step`: acc -> OR over v of acc << a*P_m(v), masked to
-[0, bound], applied once per coefficient.  The accumulator keeps one form
-from the first step to the last: a big int below the measured break-even
-`_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's fixed cost per call would
-dominate and the step is a loop of big-int shifts and ORs; little-endian
-numpy uint64 words from there up, where the step takes one of two ways:
-
-* when acc is sparse (its set bits times the shifts fit in the word array,
-  as in the first step, acc = 1), every sum of a set bit and a shift is
-  scattered into the words (`_shift_or_ones`);
-* otherwise shifted copies of acc are ORed in place, grouped by shift
-  residue mod 64 (`_shift_or_words`).  Once the output's gaps are few (at
-  once when acc is dense, as in the last steps of most sieves, or after a
-  few groups) and testing them is cheaper than ORing on, the shifts left are
-  tested on the gaps instead, each gap only against the shifts below it,
-  and the output is all ones but the gaps no shift fills.
+Both sieves, the full set and the witness search's suffix masks, come from
+`_sieve_accs`: the first coefficient's values a*P_m(v) are written directly,
+and each further one applies `_sieve_step`: acc -> OR over v of
+acc << a*P_m(v), masked to [0, bound], with the values from a small memo
+(`_step_values`).  The accumulator keeps one form from the first step to the
+last: a big int below the measured break-even `_WORD_SIEVE_MIN_BOUND` (2^17
+bits), where numpy's fixed cost per call would dominate and the step is a
+loop of big-int shifts and ORs; little-endian numpy uint64 words from there
+up, where shifted copies of acc are ORed in place, grouped by shift residue
+mod 64 (`_shift_or_words`).  Once the output's gaps are few (at once when acc is
+dense, as in the last steps of most sieves, or after a few groups) and
+testing them is cheaper than ORing on, the shifts left are tested on the
+gaps instead, each gap only against the shifts below it, and the output is
+all ones but the gaps no shift fills.
 
 The sieve serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
 """
@@ -36,7 +33,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,9 +135,11 @@ class RepresentedSet:
             raise CacheFormatError("truncated cache body")
         if len(blob) > end:
             raise CacheFormatError(f"{len(blob) - end} trailing bytes after cache body")
-        bits = int.from_bytes(blob[off:], "little")
-        form = MgonalForm(m, tuple(coeffs))
-        return cls(form, domain, bound, bits)
+        try:
+            form = MgonalForm(m, tuple(coeffs))
+        except ValueError as exc:
+            raise CacheFormatError(f"cache header names no valid form: {exc}") from exc
+        return cls(form, domain, bound, int.from_bytes(blob[off:], "little"))
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ _GAP_SPACING = 512
 _GAP_TEST_COST = 64
 
 
-def _shift_or_int(acc: int, a: int, values: list[int], bound: int) -> int:
+def _shift_or_int(acc: int, a: int, values: Sequence[int], bound: int) -> int:
     """OR over v in values of acc << a*v, masked to [0, bound], on one big int."""
     out = 0
     for v in values:
@@ -184,7 +185,7 @@ def _shift_or_int(acc: int, a: int, values: list[int], bound: int) -> int:
     return out & ((1 << (bound + 1)) - 1)
 
 
-def _shift_or_words(words: np.ndarray, a: int, values: list[int], bound: int) -> np.ndarray:
+def _shift_or_words(words: np.ndarray, a: int, values: Sequence[int], bound: int) -> np.ndarray:
     """The same OR on little-endian uint64 words (the MGRS body layout), for
     ascending values with values[0] = P_m(0) = 0; new words, zero past bound.
 
@@ -261,13 +262,6 @@ def _unfilled(words: np.ndarray, gaps: np.ndarray, shifts: np.ndarray) -> np.nda
     return gaps
 
 
-def _shift_or_ones(ones: np.ndarray, a: int, values: list[int], bound: int) -> np.ndarray:
-    """The same OR for a sparse acc given by its set bits: each set bit plus
-    each shift, scattered into words."""
-    sums = (ones[:, None] + a * np.asarray(values, dtype=np.int64)).ravel()
-    return _words_with_bits(sums[sums <= bound], (bound + 64) // 64)
-
-
 def _int_to_words(bits: int, bound: int) -> np.ndarray:
     """Bits 0..bound of a big int as little-endian uint64 words (read-only)."""
     if bits.bit_length() > bound + 1:
@@ -313,13 +307,24 @@ def _words_with_bits(pos: np.ndarray, nwords: int) -> np.ndarray:
 _Acc = int | np.ndarray
 
 
-def _sieve_start(bound: int) -> _Acc:
-    """The accumulator of the empty form: only 0 is represented."""
+@lru_cache(maxsize=16)
+def _step_values(m: int, top: int, domain: Domain) -> tuple[int, ...]:
+    """The values P_m(v) <= top of one step, ascending (0 first)."""
+    return tuple(polygonal_values(m, top, domain))
+
+
+def _sieve_accs(m: int, coeffs: Sequence[int], domain: Domain, bound: int) -> Iterator[_Acc]:
+    """Accumulators of the forms coeffs[:1], coeffs[:2], ..., up to bound."""
+    a = coeffs[0]
+    values = _step_values(m, bound // a, domain)
     if bound < _WORD_SIEVE_MIN_BOUND:
-        return 1
-    words = np.zeros((bound + 64) // 64, dtype="<u8")
-    words[0] = 1
-    return words
+        acc = _shift_or_int(1, a, values, bound)
+    else:  # the bits a*P_m(v) of the first form, scattered into words
+        acc = _words_with_bits(a * np.asarray(values, dtype=np.int64), (bound + 64) // 64)
+    yield acc
+    for a in coeffs[1:]:
+        acc = _sieve_step(acc, m, a, domain, bound)
+        yield acc
 
 
 def _sieve_bits(acc: _Acc, bound: int) -> int:
@@ -331,12 +336,9 @@ def _sieve_bits(acc: _Acc, bound: int) -> int:
 
 def _sieve_step(acc: _Acc, m: int, a: int, domain: Domain, bound: int) -> _Acc:
     """One sumset step: OR over values v = P_m(x) of acc << a*v, masked to [0, bound]."""
-    values = polygonal_values(m, bound // a, domain)
+    values = _step_values(m, bound // a, domain)
     if bound < _WORD_SIEVE_MIN_BOUND:
         return _shift_or_int(acc, a, values, bound)
-    ones = _set_bits(acc, bound, most=acc.size // len(values))  # the sums fit in the word array
-    if ones is not None:
-        return _shift_or_ones(ones, a, values, bound)
     return _shift_or_words(acc, a, values, bound)
 
 
@@ -351,9 +353,8 @@ def represented_set(
         raise ValueError(f"bound must be >= 1, got {bound}")
     if bound > bound_cap:
         raise ResourceLimitError(f"bound {bound} exceeds cap {bound_cap}")
-    acc = _sieve_start(bound)
-    for a in form.coeffs:
-        acc = _sieve_step(acc, form.m, a, domain, bound)
+    for acc in _sieve_accs(form.m, form.coeffs, domain, bound):
+        pass  # keep only the last accumulator alive
     return RepresentedSet(form, domain, bound, _sieve_bits(acc, bound))
 
 
@@ -388,11 +389,10 @@ _SUFFIX_CACHE_MAX_BOUND = 1 << 20
 
 
 def _suffix_masks(m: int, coeffs_desc: tuple[int, ...], domain: Domain, bound: int) -> list[int]:
-    """bits[i] = represented set of the sub-form coeffs_desc[i:], up to bound."""
-    masks = [_sieve_start(bound)]
-    for a in reversed(coeffs_desc):
-        masks.append(_sieve_step(masks[-1], m, a, domain, bound))
-    return [_sieve_bits(mask, bound) for mask in reversed(masks)]
+    """bits[i] = represented set of the sub-form coeffs_desc[i:], up to bound
+    (the last, of the empty form, is 1)."""
+    accs = list(_sieve_accs(m, coeffs_desc[::-1], domain, bound))
+    return [_sieve_bits(acc, bound) for acc in reversed(accs)] + [1]
 
 
 def _suffix_window(m: int, coeffs_desc: tuple[int, ...], domain: Domain, n: int) -> tuple[int, list[bytes]]:

@@ -1,11 +1,12 @@
 import json
-import random
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mgonal.errors import ResourceLimitError
 from mgonal.forms import Domain, MgonalForm
-from mgonal.local import locally_represented
+from mgonal.local import _canonical_target, _prime_factors, _vp, locally_represented, quad_diag_represents_zp
 from mgonal.represent import represents, truant_up_to
 from mgonal.escalator import (
     build_tree,
@@ -144,6 +145,37 @@ class TestTd5:
                 total += a
 
 
+def residue_sweep_universal(coeffs) -> bool:
+    """The earlier `local_universal_quad`: every target r * p^j for r up to
+    8 * prod(p_odd^2) and j up to the kernel's stabilization depth, one
+    kernel call per square class."""
+    coeffs = tuple(sorted(int(a) for a in coeffs))
+    prod = math.prod(coeffs)
+    odd_rel = [p for p in _prime_factors(prod) if p != 2]
+    modulus = 8 * math.prod([p * p for p in odd_rel], start=1)
+    decided = {}
+    for p in [2] + odd_rel:
+        j_cap = _vp(4 * prod, p) + 3
+        for r in range(1, modulus + 1):
+            for j in range(j_cap + 1):
+                key = (_canonical_target(r * p**j, p), p)
+                if key not in decided:
+                    decided[key] = quad_diag_represents_zp(coeffs, key[0], p)[0]
+                if not decided[key]:
+                    return False
+    return True
+
+
+@st.composite
+def small_diagonal_forms(draw):
+    """Rank 1-5, coefficients up to 12; the odd primes of the product stay
+    among a few small sets, so that the residue sweep (modulus
+    8 * prod(p_odd^2)) ends in well under a second."""
+    odd = draw(st.sampled_from([(), (3,), (5,), (7,), (11,), (3, 5), (3, 7)]))
+    pool = [a for a in range(1, 13) if all(q in odd for q in _prime_factors(a) if q != 2)]
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+
+
 class TestLocalUniversalQuad:
     def test_examples(self):
         assert local_universal_quad((1, 1, 1, 1, 1))
@@ -151,9 +183,21 @@ class TestLocalUniversalQuad:
         assert not local_universal_quad((2, 2, 2, 2, 2))
 
     def test_sampled_t_d5_members(self):
-        rng = random.Random(99)
-        for chain in rng.sample(t_d5(), 6):
+        # every depth-5 chain, not a sample: the class check makes all 192 cheap
+        chains = t_d5()
+        assert len(chains) == 192
+        for chain in chains:
             assert local_universal_quad(chain), chain
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_diagonal_forms())
+    @example((1, 1, 1, 1, 7))
+    @example((1, 1, 2, 3, 5))
+    @example((1, 1, 3, 6, 9))
+    @example((3, 5, 6, 9, 10))
+    @example((2, 3, 10))
+    def test_matches_residue_sweep(self, coeffs):
+        assert local_universal_quad(coeffs) == residue_sweep_universal(coeffs)
 
 
 class TestGammaEstimate:

@@ -188,6 +188,43 @@ class TestLazyRefinement:
             assert got[0] == congruence_solvable_quad(coeffs, t, p, e_max_level(coeffs, t, p))
 
 
+def _kernel_verdict(coeffs, t, p):
+    return quad_diag_represents_zp(coeffs, t, p)[0]
+
+
+class TestClassMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 14), min_size=1, max_size=4).map(lambda c: tuple(sorted(c))),
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.one_of(st.integers(-3, 0), st.integers(1, 1 << 70)),
+        st.integers(0, 8),
+    )
+    def test_class_verdict_equals_kernel_on_the_raw_target(self, coeffs, p, t, j):
+        # targets of one square class share a memo entry; each must get the
+        # verdict the kernel gives its own raw value, also past 2^63 (t <= 0
+        # never reaches the memo)
+        t *= p**j
+        assert local._represents_zp(coeffs, t, p) == _kernel_verdict(coeffs, t, p)
+
+    @pytest.mark.parametrize(
+        "m, coeffs, ns",
+        [
+            (4, [1, 1], range(0, 200)),
+            (8, [1, 3], range(0, 200)),
+            (5, [2, 6], range(0, 200)),
+            (12, [1, 1, 2, 3, 5], range(0, 120)),
+            (20, [3, 3, 9], range(10**20, 10**20 + 60)),
+            (16, [1, 4, 5], range(2**64 - 30, 2**64 + 30)),
+        ],
+    )
+    def test_reports_same_with_memo_bypassed(self, m, coeffs, ns):
+        f = MgonalForm.make(m, coeffs)
+        got = [locally_represented(f, n).to_json_dict() for n in ns]
+        with mock.patch.object(local, "_represents_zp", _kernel_verdict):
+            assert got == [locally_represented(f, n).to_json_dict() for n in ns]
+
+
 class TestPrimeFactors:
     def test_matches_trial_division(self):
         rng = random.Random(4)

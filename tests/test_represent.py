@@ -12,10 +12,9 @@ from mgonal.represent import (
     RepresentedSet,
     SystemInstance,
     _int_to_words,
-    _set_bits,
     _shift_or_int,
-    _shift_or_ones,
     _shift_or_words,
+    _sieve_accs,
     _sieve_bits,
     _sieve_step,
     _suffix_masks,
@@ -126,10 +125,10 @@ def step_accs(draw, bound):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(3, 12), st.integers(1, 8), st.sampled_from(list(Domain)), sieve_bounds())
 def test_word_step_matches_bigint_step(data, m, a, domain, bound):
-    """Every word-domain implementation of the step, and the step's own choice
-    among them, against the big-int loop; the word path also with its switch
-    to gap tests taken at the first check that lists the gaps (cost 0) and
-    never taken (cost huge)."""
+    """The word path of the step, and the step itself, against the big-int
+    loop; the word path also with its switch to gap tests taken at the first
+    check that lists the gaps (cost 0) and never taken (cost huge).  Sparse
+    accumulators (acc = 1 among them) go through the word path too."""
     acc = data.draw(step_accs(bound))
     values = polygonal_values(m, bound // a, domain)
     want = _shift_or_int(acc, a, values, bound)
@@ -137,11 +136,24 @@ def test_word_step_matches_bigint_step(data, m, a, domain, bound):
     for cost in (0, represent._GAP_TEST_COST, 10**12):
         with mock.patch.object(represent, "_GAP_TEST_COST", cost):
             assert int.from_bytes(_shift_or_words(words, a, values, bound).tobytes(), "little") == want
-    ones = _set_bits(words, bound)
-    if ones.size * len(values) <= 1 << 16:
-        assert int.from_bytes(_shift_or_ones(ones, a, values, bound).tobytes(), "little") == want
     vector = acc if bound < _WORD_SIEVE_MIN_BOUND else words
     assert _sieve_bits(_sieve_step(vector, m, a, domain, bound), bound) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    st.sampled_from(list(Domain)),
+    sieve_bounds(),
+)
+def test_sieve_accs_match_bigint_steps(m, coeffs, domain, bound):
+    # the first accumulator is written directly, the others are steps
+    acc, want = 1, []
+    for a in coeffs:
+        acc = _shift_or_int(acc, a, polygonal_values(m, bound // a, domain), bound)
+        want.append(acc)
+    assert [_sieve_bits(got, bound) for got in _sieve_accs(m, coeffs, domain, bound)] == want
 
 
 def test_mgrs_bytes_above_crossover_match_bigint_loop():
@@ -387,6 +399,20 @@ class TestCacheFormat:
         blob = bytearray(represented_set(MgonalForm.make(5, [1, 2]), 100).to_bytes())
         blob[14:22] = (1 << 60).to_bytes(8, "little")
         with pytest.raises(CacheFormatError, match="coefficients"):
+            RepresentedSet.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("field, value", [("m", 2), ("coefficient", 0), ("rank", 0)])
+    def test_header_naming_no_valid_form_rejected(self, field, value):
+        # m = 2, a zero coefficient or no coefficient at all is no m-gonal form
+        rs = represented_set(MgonalForm.make(5, [1]), 100)
+        if field == "rank":
+            blob = rs.to_bytes()
+            blob = blob[:14] + (0).to_bytes(8, "little") + blob[30:]
+        else:
+            blob = bytearray(rs.to_bytes())
+            at = {"m": 6, "coefficient": 22}[field]
+            blob[at : at + 8] = value.to_bytes(8, "little")
+        with pytest.raises(CacheFormatError, match="no valid form"):
             RepresentedSet.from_bytes(bytes(blob))
 
     def test_trailing_bytes_rejected(self):

@@ -46,3 +46,22 @@ def test_no_environment_reads_but_the_cache_dir():
             if not (isinstance(key, ast.Constant) and key.value == "MGONAL_CACHE_DIR"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_square_class_helpers_stay_in_local():
+    # valuations and square classes are local.py's business: other modules
+    # ask for verdicts (`_represents_zp`), not for the classes themselves
+    private = {"_vp", "_canonical_target"}
+    found = []
+    for path in SOURCES:
+        if path.name == "local.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in sorted(names & private)]
+    assert found == []
