@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -141,7 +142,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int, default=1, help="worker cap for sweep commands")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing never changes it,
+    and argparse reads the terminal width only when it formats help or usage."""
     parser = argparse.ArgumentParser(prog="mgonal", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

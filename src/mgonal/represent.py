@@ -6,7 +6,9 @@ Three engines live here:
   Python int (bit N set iff N is a value of the form), the workhorse for
   truants and exception audits;
 * `represents` — a witness search (depth-first over variables in descending
-  coefficient order, pruned by cached suffix sieves);
+  coefficient order, pruned by cached suffix sieves kept as little-endian
+  bytes, taken straight from the sieve's accumulators; an n that the
+  coefficients' gcd does not divide is answered None before any sieve);
 * `solve_system` — exact solution of the pair
   sum a_i x_i^2 = alpha, sum a_i x_i = beta, the auxiliary system every
   representation of A*(m-2)+B with parameter k reduces to.
@@ -15,12 +17,13 @@ Both sieves, the full set and the witness search's suffix masks, come from
 `_sieve_accs`: the first coefficient's values a*P_m(v) are written directly,
 and each further one applies `_sieve_step`: acc -> OR over v of
 acc << a*P_m(v), masked to [0, bound], with the values from a small memo
-(`_step_values`).  The accumulator keeps one form from the first step to the
-last: a big int below the measured break-even `_WORD_SIEVE_MIN_BOUND` (2^17
-bits), where numpy's fixed cost per call would dominate and the step is a
-loop of big-int shifts and ORs; little-endian numpy uint64 words from there
-up, where shifted copies of acc are ORed in place, grouped by shift residue
-mod 64 (`_shift_or_words`).  Once the output's gaps are few (at once when acc is
+of read-only int64 arrays (`_step_values`).  The accumulator keeps one form
+from the first step to the last: a big int below the measured break-even
+`_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's fixed cost per call would
+dominate and the step is a loop of big-int shifts and ORs over the values as
+Python ints; little-endian numpy uint64 words from there up, where shifted
+copies of acc are ORed in place, grouped by shift residue mod 64
+(`_shift_or_words`).  Once the output's gaps are few (at once when acc is
 dense, as in the last steps of most sieves, or after a few groups) and
 testing them is cheaper than ORing on, the shifts left are tested on the
 gaps instead, each gap only against the shifts below it, and the output is
@@ -178,7 +181,9 @@ _GAP_TEST_COST = 64
 
 
 def _shift_or_int(acc: int, a: int, values: Sequence[int], bound: int) -> int:
-    """OR over v in values of acc << a*v, masked to [0, bound], on one big int."""
+    """OR over v in values of acc << a*v, masked to [0, bound], on one big int
+    (values are Python ints: with a numpy scalar shift, acc << a*v would be
+    done in int64 and overflow)."""
     out = 0
     for v in values:
         out |= acc << (a * v)
@@ -308,9 +313,12 @@ _Acc = int | np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _step_values(m: int, top: int, domain: Domain) -> tuple[int, ...]:
-    """The values P_m(v) <= top of one step, ascending (0 first)."""
-    return tuple(polygonal_values(m, top, domain))
+def _step_values(m: int, top: int, domain: Domain) -> np.ndarray:
+    """The values P_m(v) <= top of one step, ascending (0 first), as a
+    read-only int64 array."""
+    values = np.array(polygonal_values(m, top, domain), dtype=np.int64)
+    values.flags.writeable = False
+    return values
 
 
 def _sieve_accs(m: int, coeffs: Sequence[int], domain: Domain, bound: int) -> Iterator[_Acc]:
@@ -318,9 +326,9 @@ def _sieve_accs(m: int, coeffs: Sequence[int], domain: Domain, bound: int) -> It
     a = coeffs[0]
     values = _step_values(m, bound // a, domain)
     if bound < _WORD_SIEVE_MIN_BOUND:
-        acc = _shift_or_int(1, a, values, bound)
+        acc = _shift_or_int(1, a, values.tolist(), bound)
     else:  # the bits a*P_m(v) of the first form, scattered into words
-        acc = _words_with_bits(a * np.asarray(values, dtype=np.int64), (bound + 64) // 64)
+        acc = _words_with_bits(a * values, (bound + 64) // 64)
     yield acc
     for a in coeffs[1:]:
         acc = _sieve_step(acc, m, a, domain, bound)
@@ -338,7 +346,7 @@ def _sieve_step(acc: _Acc, m: int, a: int, domain: Domain, bound: int) -> _Acc:
     """One sumset step: OR over values v = P_m(x) of acc << a*v, masked to [0, bound]."""
     values = _step_values(m, bound // a, domain)
     if bound < _WORD_SIEVE_MIN_BOUND:
-        return _shift_or_int(acc, a, values, bound)
+        return _shift_or_int(acc, a, values.tolist(), bound)
     return _shift_or_words(acc, a, values, bound)
 
 
@@ -388,11 +396,20 @@ _SUFFIX_CACHE: dict[tuple, tuple[int, list[bytes]]] = {}
 _SUFFIX_CACHE_MAX_BOUND = 1 << 20
 
 
-def _suffix_masks(m: int, coeffs_desc: tuple[int, ...], domain: Domain, bound: int) -> list[int]:
-    """bits[i] = represented set of the sub-form coeffs_desc[i:], up to bound
-    (the last, of the empty form, is 1)."""
-    accs = list(_sieve_accs(m, coeffs_desc[::-1], domain, bound))
-    return [_sieve_bits(acc, bound) for acc in reversed(accs)] + [1]
+def _suffix_masks(m: int, coeffs_desc: tuple[int, ...], domain: Domain, bound: int) -> list[bytes]:
+    """masks[i] = represented set of the sub-form coeffs_desc[i:], up to bound,
+    as little-endian bytes straight from the accumulators (the last, of the
+    empty form, is the single byte 1).
+
+    Bit N is masks[i][N >> 3] >> (N & 7) & 1; every mask has at least
+    bound // 8 + 1 bytes and no bit set past bound.
+    """
+    accs = _sieve_accs(m, coeffs_desc[::-1], domain, bound)
+    if bound < _WORD_SIEVE_MIN_BOUND:
+        masks = [acc.to_bytes(bound // 8 + 1, "little") for acc in accs]
+    else:
+        masks = [acc.tobytes() for acc in accs]
+    return masks[::-1] + [b"\x01"]
 
 
 def _suffix_window(m: int, coeffs_desc: tuple[int, ...], domain: Domain, n: int) -> tuple[int, list[bytes]]:
@@ -410,8 +427,7 @@ def _suffix_window(m: int, coeffs_desc: tuple[int, ...], domain: Domain, n: int)
         return cached
     if len(_SUFFIX_CACHE) > 64:
         _SUFFIX_CACHE.clear()
-    masks = _suffix_masks(m, coeffs_desc, domain, need)
-    _SUFFIX_CACHE[key] = need, [mask.to_bytes(need // 8 + 1, "little") for mask in masks]
+    _SUFFIX_CACHE[key] = need, _suffix_masks(m, coeffs_desc, domain, need)
     return _SUFFIX_CACHE[key]
 
 
@@ -420,12 +436,17 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
 
     Depth-first search over variables in descending coefficient order; a
     residual is abandoned as soon as the cached sieve of the remaining
-    sub-form rules it out.
+    sub-form rules it out (the suffix masks, little-endian bytes, one bit
+    per residual up to the window).  An n that the coefficients' gcd does
+    not divide gets None at once, before any mask is built: every term
+    a_i * P_m(x_i) is a multiple of that gcd.
     """
     if n < 0:
         return None
     if n == 0:
         return (0,) * form.rank
+    if n % form.coeff_gcd:
+        return None
     m = form.m
     rank = form.rank
     order = sorted(range(rank), key=lambda i: -form.coeffs[i])

@@ -268,6 +268,46 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["value"] == 28
 
 
+# One call per verb (and the help screens), small enough to run many times.
+EVERY_VERB = [
+    ["eval", "--m", "5", "--x", "3"],
+    ["invert", "--m", "7", "--n", "-3", "--domain", "int"],
+    ["represent", "--m", "5", "--coeffs", "1,2,3", "--n", "101", "--format", "json"],
+    ["set", "--m", "6", "--coeffs", "1,1,2", "--bound", "300", "--format", "csv"],
+    ["truant", "--m", "7", "--coeffs", "1,2,2,5", "--bound", "500"],
+    ["tree", "--m", "8", "--depth", "2", "--bound", "2000", "--format", "csv"],
+    ["local", "--m", "4", "--coeffs", "1,1", "--n", "3", "--format", "json"],
+    ["exceptions", "--m", "7", "--coeffs", "1,1,1,1", "--bound", "800"],
+    ["kwindow", "--m", "9", "--coeffs", "1,1,1,1,1", "--n", "500", "--format", "json"],
+    ["feasible-k", "--m", "9", "--coeffs", "1,1,1,1,1", "--n", "500", "--format", "csv"],
+    ["gamma", "--m", "10", "--bound", "2000", "--depth", "2"],
+    ["growth", "--coeffs", "1,1,1,1,1", "--m-from", "6", "--m-to", "7", "--bound", "1500"],
+    ["td5", "--count-only"],
+    ["--help"],
+    ["represent", "--help"],
+]
+
+
+def test_cached_parser_gives_the_same_reports_as_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.delenv("MGONAL_CACHE_DIR", raising=False)
+    cached = cli.build_parser
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cached.__wrapped__)
+        fresh = [run_cli(capsys, *argv) for argv in EVERY_VERB]
+    assert [code for code, _ in fresh] == [0] * len(EVERY_VERB)
+    for _ in range(2):
+        assert [run_cli(capsys, *argv) for argv in EVERY_VERB] == fresh
+    assert cached.cache_info().misses == 1
+
+
+def test_cached_parser_survives_usage_errors(capsys):
+    for bad in (["eval", "--m", "5"], ["eval", "--m", "5", "--x", "3", "--jobs", "0"], ["nonsense"]):
+        assert main(bad) == 2
+        assert "usage: mgonal" in capsys.readouterr().err
+        assert run_cli(capsys, "eval", "--m", "5", "--x", "3") == (0, "12\n")
+    assert cli.build_parser.cache_info().misses == 1
+
+
 class TestCacheLayer:
     def test_round_trip_bit_exact(self, tmp_path):
         f = MgonalForm.make(6, [1, 2])

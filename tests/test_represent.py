@@ -1,6 +1,7 @@
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from mgonal.represent import (
     _sieve_bits,
     _sieve_step,
     _suffix_masks,
+    _words_with_bits,
     represented_set,
     represents,
     solve_system,
@@ -70,7 +72,7 @@ def test_sieve_and_suffix_masks_agree_with_brute(m, coeffs, domain, bound):
     want = sum(1 << v for v in brute_represented_values(form, bound, domain))
     assert represented_set(form, bound, domain).bits == want
     desc = tuple(sorted(coeffs, reverse=True))
-    masks = _suffix_masks(m, desc, domain, bound)
+    masks = [int.from_bytes(mask, "little") for mask in _suffix_masks(m, desc, domain, bound)]
     assert masks[0] == want
     assert masks[-1] == 1
     for i in range(1, len(desc)):
@@ -156,6 +158,32 @@ def test_sieve_accs_match_bigint_steps(m, coeffs, domain, bound):
     assert [_sieve_bits(got, bound) for got in _sieve_accs(m, coeffs, domain, bound)] == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    st.sampled_from(list(Domain)),
+    sieve_bounds(),
+)
+def test_step_value_arrays_sieve_like_tuples(m, coeffs, domain, bound):
+    """The memoized int64 value arrays give the bits that tuples of Python
+    ints gave, through the first-step scatter and every later step."""
+    want, acc = [], None
+    for a in coeffs:  # the steps as they ran on tuples
+        values = tuple(polygonal_values(m, bound // a, domain))
+        if bound < _WORD_SIEVE_MIN_BOUND:
+            acc = _shift_or_int(1 if acc is None else acc, a, values, bound)
+        elif acc is None:
+            acc = _words_with_bits(a * np.asarray(values, dtype=np.int64), (bound + 64) // 64)
+        else:
+            acc = _shift_or_words(acc, a, values, bound)
+        want.append(_sieve_bits(acc, bound))
+    assert [_sieve_bits(acc, bound) for acc in _sieve_accs(m, coeffs, domain, bound)] == want
+    values = represent._step_values(m, bound // coeffs[-1], domain)
+    assert values.dtype == np.int64 and not values.flags.writeable
+    assert values.tolist() == polygonal_values(m, bound // coeffs[-1], domain)
+
+
 def test_mgrs_bytes_above_crossover_match_bigint_loop():
     bound = _WORD_SIEVE_MIN_BOUND + 1000
     for form, domain in ((MgonalForm.make(7, [1, 2, 2, 3, 5]), Domain.NONNEG), (MgonalForm.make(10, [1, 3, 4]), Domain.INT)):
@@ -164,6 +192,15 @@ def test_mgrs_bytes_above_crossover_match_bigint_loop():
             acc = _shift_or_int(acc, a, polygonal_values(form.m, bound // a, domain), bound)
         want = RepresentedSet(form, domain, bound, acc).to_bytes()
         assert represented_set(form, bound, domain).to_bytes() == want
+
+
+def test_suffix_masks_above_crossover_are_the_suffix_sieves():
+    m, desc, bound = 7, (5, 3, 2, 2, 1), _WORD_SIEVE_MIN_BOUND + 1000
+    masks = _suffix_masks(m, desc, Domain.NONNEG, bound)
+    assert masks[-1] == b"\x01"
+    for i, mask in enumerate(masks[:-1]):
+        assert len(mask) >= bound // 8 + 1
+        assert int.from_bytes(mask, "little") == represented_set(MgonalForm.make(m, desc[i:]), bound).bits
 
 
 def test_suffix_window_reused_for_smaller_n(monkeypatch):
@@ -255,6 +292,38 @@ def test_represents_agrees_with_sieve_randomized():
             assert (w is not None) == rs.contains(n), (f, dom, n)
             if w is not None:
                 assert f.evaluate(w) == n
+
+
+@st.composite
+def forms_with_common_factor(draw):
+    """A form whose coefficients share a factor g > 1 (and sometimes more)."""
+    g = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return MgonalForm.make(draw(st.integers(3, 12)), [g * c for c in coeffs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms_with_common_factor(), st.sampled_from(list(Domain)), st.integers(1, 1500), st.integers(0, 2))
+def test_represents_on_forms_with_gcd_above_one(form, domain, n, nudge):
+    """None exactly when the brute oracle misses n, a valid witness otherwise;
+    n is drawn next to multiples of the gcd as often as not."""
+    if nudge:
+        n = max(1, n - n % form.coeff_gcd + nudge - 1)
+    reachable = n in brute_represented_values(form, n, domain)
+    w = represents(form, n, domain)
+    assert (w is not None) == reachable
+    if w is not None:
+        assert form.evaluate(w) == n
+        assert domain is Domain.INT or min(w) >= 0
+
+
+def test_gcd_exit_builds_no_masks(monkeypatch):
+    f = MgonalForm.make(12, [2, 4, 4, 6, 6])
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    monkeypatch.setattr(represent, "_suffix_masks", lambda *args: pytest.fail("masks built"))
+    for n in (1, 3, 1001, (1 << 20) + 1, (1 << 21) + 12345):
+        assert represents(f, n) is None
+        assert represents(f, n, Domain.INT) is None
 
 
 def test_truant_examples():
