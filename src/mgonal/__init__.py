@@ -22,7 +22,6 @@ from .represent import (
     represents,
     solve_system,
     truant_up_to,
-    truant_with_escalation,
 )
 from .local import (
     LocalProfile,
@@ -74,7 +73,6 @@ __all__ = [
     "represents",
     "solve_system",
     "truant_up_to",
-    "truant_with_escalation",
     "LocalReason",
     "LocalVerdict",
     "LocalProfile",

@@ -26,7 +26,7 @@ from .escalator import build_tree, exceptions, gamma_estimate, growth_probe, t_d
 from .forms import Domain, MgonalForm, decompose, is_polygonal, polygonal_number
 from .local import locally_represented
 from .reduction import feasible_k, k_window
-from .represent import RepresentedSet, represented_set, represents, truant_with_escalation
+from .represent import RepresentedSet, represented_set, represents
 
 __all__ = ["main", "load_or_build_set", "cache_file_name"]
 
@@ -309,13 +309,14 @@ def _cmd_set(args) -> None:
 
 def _cmd_truant(args) -> None:
     form = MgonalForm.make(args.m, args.coeffs)
-    if args.escalate:
-        t, searched = truant_with_escalation(form, args.bound, domain=args.domain)
-    else:
-        t = load_or_build_set(form, args.bound, args.domain, _cache_dir(args)).first_missing()
-        searched = args.bound
-    payload = {"form": form.label(), "domain": args.domain.value, "bound": searched, "truant": t}
-    _emit(args, payload, text=str(t) if t is not None else f"none up to {searched}")
+    bound, cap = args.bound, 10**8
+    while True:  # --escalate doubles the bound on a miss, extending the cache file
+        t = load_or_build_set(form, bound, args.domain, _cache_dir(args)).first_missing()
+        if t is not None or not args.escalate or bound >= cap:
+            break
+        bound = min(2 * bound, cap)
+    payload = {"form": form.label(), "domain": args.domain.value, "bound": bound, "truant": t}
+    _emit(args, payload, text=str(t) if t is not None else f"none up to {bound}")
 
 
 def _cmd_tree(args) -> None:

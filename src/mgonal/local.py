@@ -14,10 +14,16 @@ depth-first and the surviving classes of each level come from a generator
 (`_refinement_children`), so a walk that finds a liftable class at the first
 child of every level never decodes the other classes.
 
+At odd p the verdict has a closed form, the Jordan recursion of
+`_odd_represents_zp` (O'Meara, Introduction to Quadratic Forms, §92): it
+decides every odd-p verdict below, and the kernel's verdict wherever its
+residue grid p^rank would exceed `GRID_BUDGET`.  The walk decides p = 2 and
+gives the certificates `quad_diag_represents_zp` returns.
+
 A verdict depends only on the target's square class (`_canonical_target`),
-so `_represents_zp` memoizes the kernel's verdicts per (coefficients, class,
-p), and every verdict below goes through it.  `mgonal_represents_zp` reduces
-the m-gonal equation to the kernel through a four-way (p, m) case split;
+so `_represents_zp` memoizes verdicts per (coefficients, class, p), and every
+verdict below goes through it.  `mgonal_represents_zp` reduces the m-gonal
+equation to the quadratic one through a four-way (p, m) case split;
 `locally_represented` conjoins the verdicts over every prime that can
 obstruct.
 """
@@ -47,8 +53,9 @@ __all__ = [
     "local_exceptions",
 ]
 
-# Residue grids are materialized up to this many classes; callers needing
-# larger p fall into the all-unit-coefficient fast path or get a budget error.
+# Residue grids are materialized up to this many classes.  Past it an odd p
+# is decided by the Jordan recursion, so the budget binds only at p = 2
+# (rank > 22), as a budget error.
 GRID_BUDGET = 1 << 22
 NODE_BUDGET = 50_000_000
 
@@ -95,6 +102,11 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _is_square_mod(u: int, p: int) -> bool:
+    """Is u a nonzero square mod the odd prime p?"""
+    return pow(u % p, (p - 1) // 2, p) == 1
+
+
 def _canonical_target(t: int, p: int) -> int:
     """Smallest target sharing t's representability class over Z_p.
 
@@ -107,7 +119,7 @@ def _canonical_target(t: int, p: int) -> int:
     u = t // p**j
     if p == 2:
         return 2**j * (u % 8)
-    return p**j * _unit_classes(p)[pow(u % p, (p - 1) // 2, p) != 1]
+    return p**j * _unit_classes(p)[not _is_square_mod(u, p)]
 
 
 def _unit_classes(p: int) -> tuple[int, ...]:
@@ -115,7 +127,7 @@ def _unit_classes(p: int) -> tuple[int, ...]:
     residues mod 8 for p = 2; 1 and the least non-residue for odd p."""
     if p == 2:
         return (1, 3, 5, 7)
-    return (1, next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1))
+    return (1, next(g for g in range(2, p) if not _is_square_mod(g, p)))
 
 
 def _represents_zp(coeffs: tuple[int, ...], t: int, p: int) -> bool:
@@ -127,7 +139,30 @@ def _represents_zp(coeffs: tuple[int, ...], t: int, p: int) -> bool:
 
 @lru_cache(maxsize=1 << 14)
 def _class_represents_zp(coeffs: tuple[int, ...], t: int, p: int) -> bool:
-    return quad_diag_represents_zp(coeffs, t, p)[0]
+    if p == 2:
+        return quad_diag_represents_zp(coeffs, t, p)[0]
+    return _odd_represents_zp(coeffs, t, p)
+
+
+def _odd_represents_zp(coeffs, t: int, p: int) -> bool:
+    """sum a_i x_i^2 = t over Z_p for odd p and t > 0: the Jordan recursion.
+
+    Split Q = Q_0 + p*Q' with Q_0 the unit coefficients.  A solution mod p of
+    Q_0(x) = t with x != 0 mod p lifts by Hensel; one exists iff rank(Q_0) >= 3,
+    or rank 2 and (t a unit, or -a_1*a_2 a square), or rank 1 and t*a_1 a
+    nonzero square.  Every other solution has x = p*y, so p | t and
+    Q' + p*Q_0 represents t/p (O'Meara, Introduction to Quadratic Forms, §92).
+    """
+    while True:
+        units = [a for a in coeffs if a % p]
+        if len(units) >= 3:
+            return True
+        if t % p:
+            return len(units) == 2 or (len(units) == 1 and _is_square_mod(t * units[0], p))
+        if len(units) == 2 and _is_square_mod(-units[0] * units[1], p):
+            return True
+        coeffs = [a // p for a in coeffs if a % p == 0] + [a * p for a in units]
+        t //= p
 
 
 # Trial division stops at this factor (about 2^20): every n below its square
@@ -198,33 +233,6 @@ def e_max_level(coeffs, t: int, p: int) -> int:
     return _vp(t, p) + _vp(4 * prod, p) + 3
 
 
-def _unit_form_represents_zp(coeffs, t: int, p: int) -> bool:
-    """sum a_i x_i^2 = t over Z_p when p is odd and coprime to every a_i.
-
-    Rank >= 3: every target is hit (a nonzero solution mod p exists and lifts).
-    Rank 2: universal iff -a_1*a_2 is a square mod p; otherwise exactly the
-    targets of even valuation.  Rank 1: t must have even valuation and unit
-    part a square times a_1.
-    """
-    if t == 0:
-        return True
-    n = len(coeffs)
-    if n >= 3:
-        return True
-    j = _vp(t, p)
-    u = t // p**j
-    if n == 2:
-        d = (-coeffs[0] * coeffs[1]) % p
-        if pow(d, (p - 1) // 2, p) == 1:
-            return True
-        return j % 2 == 0
-    # rank 1
-    if j % 2 == 1:
-        return False
-    w = (u * coeffs[0]) % p  # u / a_1 is a square iff u * a_1 is
-    return pow(w, (p - 1) // 2, p) == 1
-
-
 def quad_diag_represents_zp(
     coeffs,
     t: int,
@@ -256,9 +264,9 @@ def quad_diag_represents_zp(
         t //= p**shift
     n = len(coeffs)
     if p**n > GRID_BUDGET:
-        if p != 2 and all(a % p for a in coeffs):
-            return _unit_form_represents_zp(coeffs, t, p), None
-        raise ResourceLimitError(f"residue grid p^n = {p}^{n} exceeds budget")
+        if p == 2:
+            raise ResourceLimitError(f"residue grid p^n = {p}^{n} exceeds budget")
+        return _odd_represents_zp(coeffs, t, p), None
     return _refinement_search(coeffs, t, p, e_max_level(coeffs, t, p), node_budget)
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "represented_set",
     "represents",
     "truant_up_to",
-    "truant_with_escalation",
     "solve_system",
     "DEFAULT_BOUND_CAP",
 ]
@@ -369,24 +368,6 @@ def represented_set(
 def truant_up_to(form: MgonalForm, bound: int, domain: Domain = Domain.NONNEG) -> int | None:
     """Smallest positive integer <= bound the form does not represent, else None."""
     return represented_set(form, bound, domain).first_missing(1)
-
-
-def truant_with_escalation(
-    form: MgonalForm,
-    start_bound: int = 10**6,
-    cap: int = 10**8,
-    domain: Domain = Domain.NONNEG,
-) -> tuple[int | None, int]:
-    """Truant search that doubles the sieve bound on a miss, up to a cap.
-
-    Returns (truant or None, bound actually searched).
-    """
-    bound = start_bound
-    while True:
-        t = truant_up_to(form, bound, domain)
-        if t is not None or bound >= cap:
-            return t, bound
-        bound = min(2 * bound, cap)
 
 
 # --- witness search ---------------------------------------------------------

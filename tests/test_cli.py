@@ -1,14 +1,16 @@
 import csv
 import io
 import json
+from unittest import mock
 
 import pytest
 
-from mgonal import cli
+from mgonal import cli, local
 from mgonal.cli import cache_file_name, load_or_build_set, main
 from mgonal.errors import CacheFormatError
 from mgonal.escalator import build_tree, tree_nodes
 from mgonal.forms import Domain, MgonalForm
+from mgonal.local import mgonal_represents_zp, quad_diag_represents_zp
 from mgonal.represent import RepresentedSet, represented_set
 
 
@@ -212,6 +214,43 @@ def test_truant_report_same_with_and_without_cache(tmp_path, capsys, monkeypatch
     assert [p.name for p in tmp_path.glob("*.bin")] == [
         cache_file_name(MgonalForm.make(7, [1, 2, 2, 5]), Domain.NONNEG, 5000)
     ]
+
+
+@pytest.mark.parametrize("argv, truant, bound", [
+    (["--m", "9", "--coeffs", "1,1", "--bound", "10"], 3, 10),
+    (["--m", "7", "--coeffs", "1,2,2,5", "--bound", "5"], 13, 20),  # misses nothing up to 5, then 10
+], ids=["found-at-start", "two-doublings"])
+def test_truant_escalate_doubles_the_bound(tmp_path, capsys, monkeypatch, argv, truant, bound):
+    monkeypatch.delenv("MGONAL_CACHE_DIR", raising=False)
+    argv = ["truant", *argv, "--escalate", "--format", "json"]
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    payload = json.loads(run_cli(capsys, *argv)[1])
+    assert (payload["truant"], payload["bound"]) == (truant, bound)
+    # each doubling extends the cache file in place: one file, at the last bound
+    assert [p.name for p in tmp_path.glob("*.bin")] == [
+        cache_file_name(MgonalForm.make(int(argv[2]), [int(a) for a in argv[4].split(",")]), Domain.NONNEG, bound)
+    ]
+
+
+@pytest.mark.parametrize("m, coeffs, big", [(5, (1, 1, 1, 1, 23), 23), (8, (1, 2, 3, 5, 29), 29)])
+def test_local_past_the_odd_prime_grid_budget(capsys, m, coeffs, big):
+    # big^5 residue classes exceed the grid budget and big divides a
+    # coefficient; the four unit coefficients represent every target at big
+    form = MgonalForm.make(m, coeffs)
+    assert big ** len(coeffs) > local.GRID_BUDGET
+
+    def walked(c, t, p):
+        return quad_diag_represents_zp(c, t, p)[0]
+
+    for n in (1, 2, 1000, 10**6 + 7):
+        argv = ["local", "--m", str(m), "--coeffs", ",".join(map(str, coeffs)), "--n", str(n)]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        verdicts = {v["p"]: v for v in json.loads(out)["verdicts"]}
+        assert verdicts.pop(big)["represented"] is True
+        with mock.patch.object(local, "_represents_zp", walked):  # the other primes, as the walk decides them
+            assert verdicts == {p: mgonal_represents_zp(form, n, p).to_json_dict() for p in verdicts}
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_local_past_int64_targets(capsys):

@@ -1,11 +1,10 @@
-import math
 import random
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from mgonal import local
 from mgonal.errors import ResourceLimitError
@@ -15,8 +14,8 @@ from mgonal.local import (
     _TRIAL_DIVISION_LIMIT,
     _is_prime_mr,
     _prime_factors,
+    _odd_represents_zp,
     _refinement_children,
-    _unit_form_represents_zp,
     LocalReason,
     e_max_level,
     local_exceptions,
@@ -95,14 +94,33 @@ class TestQuadKernel:
             assert all(a >= b for a, b in zip(answers, answers[1:]))
             assert answers[-1] == got
 
-    def test_budget_error_on_huge_prime_with_mixed_factor(self):
-        # grid 2053^2 exceeds the class budget and the unit fast path does not
-        # apply because one coefficient is divisible by p
-        with pytest.raises(ResourceLimitError):
-            quad_diag_represents_zp((1, 2053), 2053, 2053)
+    def test_huge_prime_with_mixed_factor_decided_without_certificate(self):
+        # grid 2053^2 exceeds the class budget and a coefficient is divisible
+        # by p: the Jordan recursion decides, with no certificate.  Each True
+        # has an integer solution; the first three False come down to x^2 = 2
+        # or 5 mod 2053, non-residues since 2053 = 5 mod 8 and 2053 = 3 mod 5,
+        # and x^2 = 2*2053 mod 2053^2 has no solution at all
+        q = 2053
+        for coeffs, t, want, solution in [
+            ((1, q), q, True, (0, 1)),
+            ((1, q), q**3, True, (0, q)),
+            ((q, q * q), q, True, (1, 0)),
+            ((3, q * q), q**4 + 3, True, (1, q)),
+            ((1, q), 2, False, None),
+            ((1, q), 2 * q, False, None),
+            ((1, q), 5 * q * q, False, None),
+            ((1, q * q), 2 * q * q, True, (q, 1)),
+            ((1, q * q), 2 * q, False, None),
+        ]:
+            assert q ** len(coeffs) > local.GRID_BUDGET
+            assert quad_diag_represents_zp(coeffs, t, q) == (want, None), (coeffs, t)
+            if solution:
+                assert sum(a * x * x for a, x in zip(coeffs, solution)) == t
+        with pytest.raises(ResourceLimitError):  # the budget still binds at p = 2
+            quad_diag_represents_zp((1,) * 23, 7, 2)
 
     def test_huge_prime_unit_fast_path(self):
-        # all-unit coefficients at a grid-busting prime take the closed-form path
+        # all-unit coefficients at a grid-busting prime: the Jordan recursion decides
         ok, _ = quad_diag_represents_zp((1, 1), 2053, 2053)
         assert ok  # 2053 = 1 mod 4, so x^2 + y^2 is isotropic at 2053
         ok, _ = quad_diag_represents_zp((1, 1), 2063, 2063)
@@ -117,14 +135,27 @@ class TestQuadKernel:
             u = t >> ((t & -t).bit_length() - 1) // 2 * 2
             assert quad_diag_represents_zp((1, 1, 1), t, 2)[0] == (u % 8 != 7), t
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_unit_closed_form_matches_refinement(self, data):
+    def test_jordan_recursion_matches_refinement(self, data):
+        # coefficients carry p, p^2 or p^3 and targets valuations up to 6 and
+        # sizes past 2^63, so the recursion descends through several levels.
+        # The walk's cost has a heavy tail there (one rank-4 case at p = 13
+        # takes a minute): the rare example whose walk visits more than 20000
+        # classes is rejected, not compared
         p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
-        coeffs = sorted(data.draw(st.lists(st.integers(1, 60).filter(lambda a: a % p), min_size=1, max_size=2)))
-        j = data.draw(st.integers(0, int(80 / math.log2(p))))
-        t = data.draw(st.integers(1, (1 << 80) // p**j)) * p**j
-        assert quad_diag_represents_zp(coeffs, t, p)[0] == _unit_form_represents_zp(coeffs, t, p)
+        coeffs = sorted(
+            data.draw(st.integers(1, 40)) * p ** data.draw(st.sampled_from([0, 0, 1, 2, 3]))
+            for _ in range(data.draw(st.integers(1, 4)))
+        )
+        j = data.draw(st.integers(0, 6))
+        t = data.draw(st.one_of(st.integers(1, 500), st.integers(1 << 63, 1 << 80))) * p**j
+        assert p ** len(coeffs) <= local.GRID_BUDGET  # so the kernel walks
+        try:
+            walked, _ = quad_diag_represents_zp(coeffs, t, p, node_budget=20_000)
+        except ResourceLimitError:
+            reject()
+        assert _odd_represents_zp(coeffs, t, p) == walked
 
 
 def eager_children(coeffs, xs, t, p, pe, mod):

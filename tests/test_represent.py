@@ -24,7 +24,6 @@ from mgonal.represent import (
     represents,
     solve_system,
     truant_up_to,
-    truant_with_escalation,
 )
 
 from oracles import brute_represented_values, cs_k_interval
@@ -332,13 +331,6 @@ def test_truant_examples():
     for m in (5, 7, 11):
         assert truant_up_to(MgonalForm.make(m, [1, 1]), 100) == 3
     assert truant_up_to(MgonalForm.make(4, [1, 1, 1, 1]), 10**5) is None
-
-
-def test_truant_with_escalation():
-    t, searched = truant_with_escalation(MgonalForm.make(9, [1, 1]), start_bound=10, cap=100)
-    assert t == 3 and searched == 10
-    t, searched = truant_with_escalation(MgonalForm.make(4, [1, 1, 1, 1]), start_bound=50, cap=200)
-    assert t is None and searched == 200
 
 
 def test_solve_system_examples():

@@ -1,6 +1,7 @@
 """Rules the package source itself must keep."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import mgonal
@@ -64,4 +65,13 @@ def test_square_class_helpers_stay_in_local():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}:{name}" for name in sorted(names & private)]
+    assert found == []
+
+
+def test_every_export_is_defined():
+    # a deleted function must not leave its name behind in an __all__
+    found = []
+    for path in SOURCES:
+        module = importlib.import_module(f"mgonal.{path.stem}") if path.stem != "__init__" else mgonal
+        found += [f"{path.name}:{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert found == []
