@@ -98,7 +98,7 @@ def load_or_build_set(
             old = _read_cache(got_bound, path, form, domain)
         except FileNotFoundError:
             continue
-        if rset.truncated(old.bound).bits != old.bits:
+        if rset.truncated(old.bound).words != old.words:
             raise CacheFormatError(f"cache {path} disagrees with a fresh sieve")
         path.unlink(missing_ok=True)
     target = cache_dir / cache_file_name(form, domain, bound)

@@ -2,13 +2,13 @@
 
 Three engines live here:
 
-* `represented_set` — an iterated-sumset sieve over a bit vector held as a
-  Python int (bit N set iff N is a value of the form), the workhorse for
-  truants and exception audits;
+* `represented_set` — an iterated-sumset sieve; its result holds the bit
+  vector as the MGRS body (bit N set iff N is a value of the form), the
+  workhorse for truants and exception audits;
 * `represents` — a witness search (depth-first over variables in descending
-  coefficient order, pruned by cached suffix sieves kept as little-endian
-  bytes, taken straight from the sieve's accumulators; an n that the
-  coefficients' gcd does not divide is answered None before any sieve);
+  coefficient order, pruned by cached suffix sieves in the same layout; an
+  n that the coefficients' gcd does not divide is answered None before any
+  sieve);
 * `solve_system` — exact solution of the pair
   sum a_i x_i^2 = alpha, sum a_i x_i = beta, the auxiliary system every
   representation of A*(m-2)+B with parameter k reduces to.
@@ -29,13 +29,14 @@ testing them is cheaper than ORing on, the shifts left are tested on the
 gaps instead, each gap only against the shifts below it, and the output is
 all ones but the gaps no shift fills.
 
-The sieve serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
+The set serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,54 +65,65 @@ _DOMAIN_BYTE = {Domain.NONNEG: 0, Domain.INT: 1}
 _BYTE_DOMAIN = {0: Domain.NONNEG, 1: Domain.INT}
 # magic, version, domain, m, rank and bound: the header without its coefficients
 _MGRS_FIXED = 4 + 1 + 1 + 8 + 8 + 8
+# a run of full body bytes, scanned in place (bytes.lstrip copies, and is slower)
+_FULL_BYTES = re.compile(rb"\xff*")
 
 
 @dataclass(frozen=True)
 class RepresentedSet:
-    """Bit vector of represented values: bit N (0 <= N <= bound) set iff represented."""
+    """Represented values 0 <= N <= bound as the MGRS body: little-endian uint64
+    words as bytes, zero past bound; N is represented iff words[N >> 3] >> (N & 7) & 1."""
 
     form: MgonalForm
     domain: Domain
     bound: int
-    bits: int
+    words: bytes
+
+    @property
+    def bits(self) -> int:
+        """The set as a big int, bit N set iff N is represented."""
+        return int.from_bytes(self.words, "little")
 
     def contains(self, n: int) -> bool:
         if n < 0 or n > self.bound:
             raise ValueError(f"{n} outside sieved range [0, {self.bound}]")
-        return bool((self.bits >> n) & 1)
+        return bool(self.words[n >> 3] >> (n & 7) & 1)
 
     def count(self) -> int:
         return self.bits.bit_count()
 
     def first_missing(self, start: int = 1) -> int | None:
         """Smallest non-represented integer in [start, bound], else None."""
-        mask = ((1 << (self.bound + 1)) - 1) & ~((1 << start) - 1)
-        gaps = ~self.bits & mask
-        if gaps == 0:
-            return None
-        return (gaps & -gaps).bit_length() - 1
+        n = max(start, 0)
+        while n <= self.bound:
+            byte = self.words[n >> 3] >> (n & 7)  # bits n, n + 1, ... of n's byte
+            if byte != 0xFF >> (n & 7):
+                n += (~byte & (byte + 1)).bit_length() - 1
+                return n if n <= self.bound else None  # the bits past bound are zero
+            n = 8 * _FULL_BYTES.match(self.words, (n >> 3) + 1).end()
+        return None
 
     def missing(self, start: int = 1) -> list[int]:
         """All non-represented integers in [start, bound], ascending."""
-        gaps = _set_bits(~_int_to_words(self.bits, self.bound), self.bound)
+        gaps = _set_bits(~np.frombuffer(self.words, dtype="<u8"), self.bound)
         return gaps[np.searchsorted(gaps, start) :].tolist()
 
     def truncated(self, bound: int) -> "RepresentedSet":
         if bound > self.bound:
             raise ValueError(f"cannot truncate to larger bound {bound} > {self.bound}")
-        mask = (1 << (bound + 1)) - 1
-        return RepresentedSet(self.form, self.domain, bound, self.bits & mask)
+        words = np.frombuffer(self.words, dtype="<u8", count=(bound + 64) // 64).copy()
+        return RepresentedSet(self.form, self.domain, bound, _mask_tail(words, bound).tobytes())
 
     # --- bit-exact cache format -------------------------------------------
     # magic "MGRS", version byte, domain byte, then little-endian 64-bit
-    # fields: m, n, the n coefficients, bound, then ceil((bound+1)/64) words
-    # with bit N = word[N // 64] >> (N % 64) & 1.
+    # fields: m, n, the n coefficients, bound, then the body:
+    # ceil((bound+1)/64) words, zero past bound.
 
     def to_bytes(self) -> bytes:
         fields = (self.form.m, self.form.rank, *self.form.coeffs, self.bound)
         head = MGRS_MAGIC + bytes((MGRS_VERSION, _DOMAIN_BYTE[self.domain]))
         head += b"".join(f.to_bytes(8, "little") for f in fields)
-        return head + self.bits.to_bytes((self.bound + 1 + 63) // 64 * 8, "little")
+        return head + self.words
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "RepresentedSet":
@@ -137,11 +149,13 @@ class RepresentedSet:
             raise CacheFormatError("truncated cache body")
         if len(blob) > end:
             raise CacheFormatError(f"{len(blob) - end} trailing bytes after cache body")
+        if int.from_bytes(blob[-8:], "little") >> (bound % 64 + 1):
+            raise CacheFormatError(f"cache body sets bits past bound {bound}")
         try:
             form = MgonalForm(m, tuple(coeffs))
         except ValueError as exc:
             raise CacheFormatError(f"cache header names no valid form: {exc}") from exc
-        return cls(form, domain, bound, int.from_bytes(blob[off:], "little"))
+        return cls(form, domain, bound, blob[off:])
 
 
 @dataclass(frozen=True)
@@ -266,13 +280,6 @@ def _unfilled(words: np.ndarray, gaps: np.ndarray, shifts: np.ndarray) -> np.nda
     return gaps
 
 
-def _int_to_words(bits: int, bound: int) -> np.ndarray:
-    """Bits 0..bound of a big int as little-endian uint64 words (read-only)."""
-    if bits.bit_length() > bound + 1:
-        bits &= (1 << (bound + 1)) - 1
-    return np.frombuffer(bits.to_bytes((bound + 64) // 64 * 8, "little"), dtype="<u8")
-
-
 def _mask_tail(words: np.ndarray, bound: int) -> np.ndarray:
     """Clear the bits past bound in the last word, in place; returns words."""
     if (bound + 1) % 64:
@@ -334,11 +341,11 @@ def _sieve_accs(m: int, coeffs: Sequence[int], domain: Domain, bound: int) -> It
         yield acc
 
 
-def _sieve_bits(acc: _Acc, bound: int) -> int:
-    """The big int of an accumulator."""
+def _acc_words(acc: _Acc, bound: int) -> bytes:
+    """The MGRS body of an accumulator: little-endian uint64 words, zero past bound."""
     if bound < _WORD_SIEVE_MIN_BOUND:
-        return acc
-    return int.from_bytes(acc.tobytes(), "little")
+        return acc.to_bytes((bound + 64) // 64 * 8, "little")
+    return acc.tobytes()
 
 
 def _sieve_step(acc: _Acc, m: int, a: int, domain: Domain, bound: int) -> _Acc:
@@ -362,7 +369,7 @@ def represented_set(
         raise ResourceLimitError(f"bound {bound} exceeds cap {bound_cap}")
     for acc in _sieve_accs(form.m, form.coeffs, domain, bound):
         pass  # keep only the last accumulator alive
-    return RepresentedSet(form, domain, bound, _sieve_bits(acc, bound))
+    return RepresentedSet(form, domain, bound, _acc_words(acc, bound))
 
 
 def truant_up_to(form: MgonalForm, bound: int, domain: Domain = Domain.NONNEG) -> int | None:
@@ -372,24 +379,15 @@ def truant_up_to(form: MgonalForm, bound: int, domain: Domain = Domain.NONNEG) -
 
 # --- witness search ---------------------------------------------------------
 
-# (m, coeffs_desc, domain) -> (window, suffix masks up to it as little-endian bytes)
+# (m, coeffs_desc, domain) -> (window, suffix masks up to it), least recently used first
 _SUFFIX_CACHE: dict[tuple, tuple[int, list[bytes]]] = {}
 _SUFFIX_CACHE_MAX_BOUND = 1 << 20
 
 
 def _suffix_masks(m: int, coeffs_desc: tuple[int, ...], domain: Domain, bound: int) -> list[bytes]:
     """masks[i] = represented set of the sub-form coeffs_desc[i:], up to bound,
-    as little-endian bytes straight from the accumulators (the last, of the
-    empty form, is the single byte 1).
-
-    Bit N is masks[i][N >> 3] >> (N & 7) & 1; every mask has at least
-    bound // 8 + 1 bytes and no bit set past bound.
-    """
-    accs = _sieve_accs(m, coeffs_desc[::-1], domain, bound)
-    if bound < _WORD_SIEVE_MIN_BOUND:
-        masks = [acc.to_bytes(bound // 8 + 1, "little") for acc in accs]
-    else:
-        masks = [acc.tobytes() for acc in accs]
+    as an MGRS body (the last, of the empty form, is the single byte 1)."""
+    masks = [_acc_words(acc, bound) for acc in _sieve_accs(m, coeffs_desc[::-1], domain, bound)]
     return masks[::-1] + [b"\x01"]
 
 
@@ -399,17 +397,18 @@ def _suffix_window(m: int, coeffs_desc: tuple[int, ...], domain: Domain, n: int)
     A cached window at least that large is reused whatever n built it;
     pruning is exact for every residual <= w, so a wider window finds the
     same witness.  The masks are kept as bytes, so that testing one bit
-    costs the same in a wide window as in a narrow one.
+    costs the same in a wide window as in a narrow one.  Past 64 keys the
+    least recently used one is dropped.
     """
     key = (m, coeffs_desc, domain)
     need = min(n, _SUFFIX_CACHE_MAX_BOUND)
-    cached = _SUFFIX_CACHE.get(key)
-    if cached is not None and cached[0] >= need:
-        return cached
+    cached = _SUFFIX_CACHE.pop(key, None)
+    if cached is None or cached[0] < need:
+        cached = need, _suffix_masks(m, coeffs_desc, domain, need)
+    _SUFFIX_CACHE[key] = cached
     if len(_SUFFIX_CACHE) > 64:
-        _SUFFIX_CACHE.clear()
-    _SUFFIX_CACHE[key] = need, _suffix_masks(m, coeffs_desc, domain, need)
-    return _SUFFIX_CACHE[key]
+        del _SUFFIX_CACHE[next(iter(_SUFFIX_CACHE))]
+    return cached
 
 
 def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tuple[int, ...] | None:

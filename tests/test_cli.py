@@ -450,6 +450,18 @@ class TestCacheLayer:
         with pytest.raises(CacheFormatError):
             load_or_build_set(f, 500, Domain.NONNEG, tmp_path)
 
+    def test_padding_bits_past_bound_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a set bit past the bound would be counted as a represented value
+        monkeypatch.delenv("MGONAL_CACHE_DIR", raising=False)
+        f = MgonalForm.make(5, [1, 1, 1])
+        blob = bytearray(represented_set(f, 100).to_bytes())
+        blob[-1] |= 0x80  # bit 127 of the body
+        (tmp_path / cache_file_name(f, Domain.NONNEG, 100)).write_bytes(bytes(blob))
+        code = main(["set", "--m", "5", "--coeffs", "1,1,1", "--bound", "100", "--cache-dir", str(tmp_path)])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "past bound" in out.err
+
     def test_bound_in_name_must_match_header(self, tmp_path):
         f = MgonalForm.make(6, [1, 2])
         blob = represented_set(f, 200).to_bytes()

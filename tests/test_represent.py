@@ -12,11 +12,10 @@ from mgonal.represent import (
     _WORD_SIEVE_MIN_BOUND,
     RepresentedSet,
     SystemInstance,
-    _int_to_words,
+    _acc_words,
     _shift_or_int,
     _shift_or_words,
     _sieve_accs,
-    _sieve_bits,
     _sieve_step,
     _suffix_masks,
     _words_with_bits,
@@ -31,6 +30,17 @@ from oracles import brute_represented_values, cs_k_interval
 
 def bits_of(rset, lo, hi):
     return {n for n in range(lo, hi + 1) if rset.contains(n)}
+
+
+def words_of(bits, bound):
+    """Bits 0..bound of a big int as little-endian uint64 words, the MGRS body."""
+    bits &= (1 << (bound + 1)) - 1
+    return np.frombuffer(bits.to_bytes((bound + 64) // 64 * 8, "little"), dtype="<u8")
+
+
+def acc_bits(acc, bound):
+    """The big int of a sieve accumulator, through its MGRS body."""
+    return int.from_bytes(_acc_words(acc, bound), "little")
 
 
 def test_pentagonal_unit_sieve():
@@ -133,12 +143,12 @@ def test_word_step_matches_bigint_step(data, m, a, domain, bound):
     acc = data.draw(step_accs(bound))
     values = polygonal_values(m, bound // a, domain)
     want = _shift_or_int(acc, a, values, bound)
-    words = _int_to_words(acc, bound)
+    words = words_of(acc, bound)
     for cost in (0, represent._GAP_TEST_COST, 10**12):
         with mock.patch.object(represent, "_GAP_TEST_COST", cost):
             assert int.from_bytes(_shift_or_words(words, a, values, bound).tobytes(), "little") == want
     vector = acc if bound < _WORD_SIEVE_MIN_BOUND else words
-    assert _sieve_bits(_sieve_step(vector, m, a, domain, bound), bound) == want
+    assert acc_bits(_sieve_step(vector, m, a, domain, bound), bound) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,7 +164,7 @@ def test_sieve_accs_match_bigint_steps(m, coeffs, domain, bound):
     for a in coeffs:
         acc = _shift_or_int(acc, a, polygonal_values(m, bound // a, domain), bound)
         want.append(acc)
-    assert [_sieve_bits(got, bound) for got in _sieve_accs(m, coeffs, domain, bound)] == want
+    assert [acc_bits(got, bound) for got in _sieve_accs(m, coeffs, domain, bound)] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,8 +186,8 @@ def test_step_value_arrays_sieve_like_tuples(m, coeffs, domain, bound):
             acc = _words_with_bits(a * np.asarray(values, dtype=np.int64), (bound + 64) // 64)
         else:
             acc = _shift_or_words(acc, a, values, bound)
-        want.append(_sieve_bits(acc, bound))
-    assert [_sieve_bits(acc, bound) for acc in _sieve_accs(m, coeffs, domain, bound)] == want
+        want.append(acc_bits(acc, bound))
+    assert [acc_bits(acc, bound) for acc in _sieve_accs(m, coeffs, domain, bound)] == want
     values = represent._step_values(m, bound // coeffs[-1], domain)
     assert values.dtype == np.int64 and not values.flags.writeable
     assert values.tolist() == polygonal_values(m, bound // coeffs[-1], domain)
@@ -189,7 +199,7 @@ def test_mgrs_bytes_above_crossover_match_bigint_loop():
         acc = 1
         for a in form.coeffs:
             acc = _shift_or_int(acc, a, polygonal_values(form.m, bound // a, domain), bound)
-        want = RepresentedSet(form, domain, bound, acc).to_bytes()
+        want = RepresentedSet(form, domain, bound, words_of(acc, bound).tobytes()).to_bytes()
         assert represented_set(form, bound, domain).to_bytes() == want
 
 
@@ -236,6 +246,81 @@ def test_suffix_window_reused_for_smaller_n(monkeypatch):
 def test_missing_lists_every_gap(m, coeffs, domain, bound, start):
     rs = represented_set(MgonalForm.make(m, coeffs), bound, domain)
     assert rs.missing(start) == [n for n in range(start, bound + 1) if not rs.contains(n)]
+
+
+def test_suffix_cache_keeps_the_recently_used_keys(monkeypatch):
+    """Past 64 keys the least recently used one is dropped, not every key."""
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    builds = []
+    real = represent._suffix_masks
+
+    def counting(*args):
+        builds.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(represent, "_suffix_masks", counting)
+    keys = [(5, (c, 1), Domain.NONNEG) for c in range(1, 67)]
+    for key in keys:
+        represent._suffix_window(*key, 100)
+        represent._suffix_window(*keys[0], 100)  # a hit makes keys[0] the most recent
+    assert builds == keys  # keys[0] was never built again
+    assert list(represent._SUFFIX_CACHE) == keys[3:] + keys[:1]
+
+
+@st.composite
+def body_sets(draw):
+    """(RepresentedSet, its big int): a sieve whose bits come from the brute
+    oracle, or a bit pattern written straight into the body (full, full but
+    for a few gaps anywhere, dense, sparse), at bounds below, at and above
+    the word-path crossover and next to word edges."""
+    bound = draw(
+        st.one_of(
+            st.integers(1, 700),
+            st.sampled_from([63, 64, 65, 127, 128, 129]),
+            st.integers(-2000, 2000).map(lambda d: _WORD_SIEVE_MIN_BOUND + d),
+        )
+    )
+    full = (1 << (bound + 1)) - 1
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["oracle", "full", "gaps", "dense", "sparse"]))
+    if kind == "oracle":
+        form = MgonalForm.make(draw(st.integers(3, 12)), draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+        domain = draw(st.sampled_from(list(Domain)))
+        body = bytearray((bound + 64) // 64 * 8)
+        for v in brute_represented_values(form, bound, domain):
+            body[v >> 3] |= 1 << (v & 7)
+        return represented_set(form, bound, domain), int.from_bytes(body, "little")
+    spots = sum(1 << n for n in {rng.randrange(bound + 1) for _ in range(rng.randint(1, 5))})
+    bits = {"full": full, "gaps": full ^ spots, "dense": rng.getrandbits(bound + 1), "sparse": spots}[kind]
+    return RepresentedSet(MgonalForm.make(5, [1]), Domain.NONNEG, bound, words_of(bits, bound).tobytes()), bits
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), body_sets())
+def test_represented_set_body_matches_its_big_int(data, case):
+    rs, bits = case
+    bound = rs.bound
+    assert rs.bits == bits
+    assert len(rs.words) == (bound + 64) // 64 * 8
+    assert rs.count() == bin(bits).count("1")
+    flags = format(bits, "b").zfill(bound + 1)[::-1]  # flags[n] == "1" iff n is represented
+    for n in data.draw(st.lists(st.integers(0, bound), max_size=20)) + [0, bound]:
+        assert rs.contains(n) == (flags[n] == "1")
+    gaps = [n for n in range(bound + 1) if flags[n] == "0"]
+    starts = data.draw(st.lists(st.integers(0, bound + 9), max_size=8))
+    starts += [0, 1, bound, bound + 1] + [g + d for g in gaps[:2] for d in (-9, -1, 0, 1) if g + d >= 0]
+    for start in starts:
+        later = [g for g in gaps if g >= start]
+        assert rs.first_missing(start) == (later[0] if later else None), start
+        assert rs.missing(start) == later, start
+    for small in {63, 64, 65, bound - 1, bound, data.draw(st.integers(0, bound))}:
+        if 0 <= small <= bound:
+            cut = rs.truncated(small)
+            assert (cut.bound, cut.bits) == (small, bits & ((1 << (small + 1)) - 1))
+            assert len(cut.words) == (small + 64) // 64 * 8
+    blob = rs.to_bytes()
+    assert blob.endswith(bits.to_bytes((bound + 64) // 64 * 8, "little"))
+    assert RepresentedSet.from_bytes(blob) == rs
 
 
 def test_bit_zero_always_set():
@@ -474,6 +559,14 @@ class TestCacheFormat:
             at = {"m": 6, "coefficient": 22}[field]
             blob[at : at + 8] = value.to_bytes(8, "little")
         with pytest.raises(CacheFormatError, match="no valid form"):
+            RepresentedSet.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("bound, past", [(100, 101), (100, 127), (126, 127), (1000, 1023)])
+    def test_padding_bits_past_bound_rejected(self, bound, past):
+        blob = bytearray(represented_set(MgonalForm.make(5, [1, 1, 1]), bound).to_bytes())
+        body = len(blob) - (bound + 64) // 64 * 8
+        blob[body + past // 8] |= 1 << (past & 7)
+        with pytest.raises(CacheFormatError, match="past bound"):
             RepresentedSet.from_bytes(bytes(blob))
 
     def test_trailing_bytes_rejected(self):

@@ -49,13 +49,11 @@ def test_no_environment_reads_but_the_cache_dir():
     assert found == []
 
 
-def test_square_class_helpers_stay_in_local():
-    # valuations and square classes are local.py's business: other modules
-    # ask for verdicts (`_represents_zp`), not for the classes themselves
-    private = {"_vp", "_canonical_target"}
+def private_uses(owner, private):
+    """Imports and attribute reads of the names in private outside the module owner."""
     found = []
     for path in SOURCES:
-        if path.name == "local.py":
+        if path.name == owner:
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom):
@@ -65,7 +63,20 @@ def test_square_class_helpers_stay_in_local():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}:{name}" for name in sorted(names & private)]
-    assert found == []
+    return found
+
+
+def test_square_class_helpers_stay_in_local():
+    # valuations and square classes are local.py's business: other modules
+    # ask for verdicts (`_represents_zp`), not for the classes themselves
+    assert private_uses("local.py", {"_vp", "_canonical_target"}) == []
+
+
+def test_bit_vector_layout_stays_in_represent():
+    # the set's layout, the MGRS body, is represent.py's business: other
+    # modules ask a RepresentedSet for values (or compare its words), not
+    # for its big int or the helpers that read and write the body
+    assert private_uses("represent.py", {"bits", "_acc_words", "_set_bits", "_mask_tail"}) == []
 
 
 def test_every_export_is_defined():
