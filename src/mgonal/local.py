@@ -274,10 +274,10 @@ def _refinement_children(coeffs, xs, t, p, pe, mod):
     """Surviving classes xs + pe*delta of the next refinement level, yielded
     lazily in lexicographic order of delta.
 
-    Vectorized when the arithmetic fits int64 (the survivors are found and
-    decoded in bulk, then handed out one at a time), exact Python ints past
-    that.  The walk usually stops at the first child, so nothing is turned
-    into Python tuples ahead of need.
+    Vectorized when the arithmetic fits int64 (the survivors are found in
+    bulk, and each is decoded from its flat index when the walk takes it),
+    exact Python ints past that.  The walk usually stops at the first child,
+    so nothing is turned into Python tuples ahead of need.
     """
     n = len(coeffs)
     if (pe * p) ** 2 * sum(coeffs) < (1 << 62):
@@ -288,8 +288,12 @@ def _refinement_children(coeffs, xs, t, p, pe, mod):
             total = (total[:, None] + term[None, :]).reshape(-1)
         # t may exceed int64; only its class mod `mod` matters
         keep = np.flatnonzero((total - t % mod) % mod == 0)
-        deltas = np.unravel_index(keep, (p,) * n)
-        yield from zip(*((x + pe * d).tolist() for x, d in zip(xs, deltas)))
+        for k in keep.tolist():  # a flat index holds delta's digits, the last lowest
+            ys = [0] * n
+            for i in range(n - 1, -1, -1):
+                k, d = divmod(k, p)
+                ys[i] = xs[i] + pe * d
+            yield tuple(ys)
         return
     for d in product(range(p), repeat=n):
         ys = tuple(x + pe * di for x, di in zip(xs, d))

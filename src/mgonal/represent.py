@@ -6,9 +6,10 @@ Three engines live here:
   vector as the MGRS body (bit N set iff N is a value of the form), the
   workhorse for truants and exception audits;
 * `represents` — a witness search (depth-first over variables in descending
-  coefficient order, pruned by cached suffix sieves in the same layout; an
-  n that the coefficients' gcd does not divide is answered None before any
-  sieve);
+  coefficient order, pruned by cached suffix sieves in the same layout: first
+  up to a narrow window, under a budget of candidates, and only when that
+  runs out up to 2^20; an n that the coefficients' gcd does not divide is
+  answered None before any sieve);
 * `solve_system` — exact solution of the pair
   sum a_i x_i^2 = alpha, sum a_i x_i = beta, the auxiliary system every
   representation of A*(m-2)+B with parameter k reduces to.
@@ -45,6 +46,7 @@ import numpy as np
 
 from .errors import CacheFormatError, ResourceLimitError
 from .forms import Domain, MgonalForm, is_polygonal, polygonal_pairs, polygonal_values
+from .local import locally_represented
 
 __all__ = [
     "RepresentedSet",
@@ -379,9 +381,25 @@ def truant_up_to(form: MgonalForm, bound: int, domain: Domain = Domain.NONNEG) -
 
 # --- witness search ---------------------------------------------------------
 
-# (m, coeffs_desc, domain) -> (window, suffix masks up to it), least recently used first
-_SUFFIX_CACHE: dict[tuple, tuple[int, list[bytes]]] = {}
+# (m, coeffs_desc, domain) -> (window, suffix masks up to it, their bytes),
+# least recently used first
+_SUFFIX_CACHE: dict[tuple, tuple[int, list[bytes], int]] = {}
+# The masks of all keys together take at most this many bytes, about a dozen
+# full windows of rank-5 forms or thousands of first windows; the key used
+# last stays whatever its size.
+_SUFFIX_CACHE_MAX_BYTES = 1 << 23
+# The full window: a search over it is never cut short.
 _SUFFIX_CACHE_MAX_BOUND = 1 << 20
+# The first window, and the candidates per bit of it that a search over it
+# may examine before it stalls and the full window is fetched.  A stalled
+# first phase costs about 0.7 us a candidate, a fallback a few ms; 2^11 and
+# 2^13 windows, or w/8 and 2w candidates, timed no better.
+_FIRST_WINDOW = 1 << 12
+_BUDGET_PER_BIT = 1 / 2
+
+
+class _Stalled(Exception):
+    """A witness search examined more candidates than its budget allows."""
 
 
 def _suffix_masks(m: int, coeffs_desc: tuple[int, ...], domain: Domain, bound: int) -> list[bytes]:
@@ -391,35 +409,50 @@ def _suffix_masks(m: int, coeffs_desc: tuple[int, ...], domain: Domain, bound: i
     return masks[::-1] + [b"\x01"]
 
 
-def _suffix_window(m: int, coeffs_desc: tuple[int, ...], domain: Domain, n: int) -> tuple[int, list[bytes]]:
-    """(w, masks): cached suffix masks up to a window w >= min(n, 2^20).
+def _suffix_window(m: int, coeffs_desc: tuple[int, ...], domain: Domain, need: int) -> tuple[int, list[bytes]]:
+    """(w, masks): cached suffix masks up to a window w >= need.
 
-    A cached window at least that large is reused whatever n built it;
+    A cached window at least that large is reused whatever call built it;
     pruning is exact for every residual <= w, so a wider window finds the
     same witness.  The masks are kept as bytes, so that testing one bit
-    costs the same in a wide window as in a narrow one.  Past 64 keys the
-    least recently used one is dropped.
+    costs the same in a wide window as in a narrow one.  Once the masks of
+    all keys take more than `_SUFFIX_CACHE_MAX_BYTES`, the least recently
+    used keys are dropped.
     """
     key = (m, coeffs_desc, domain)
-    need = min(n, _SUFFIX_CACHE_MAX_BOUND)
     cached = _SUFFIX_CACHE.pop(key, None)
     if cached is None or cached[0] < need:
-        cached = need, _suffix_masks(m, coeffs_desc, domain, need)
+        masks = _suffix_masks(m, coeffs_desc, domain, need)
+        cached = need, masks, sum(map(len, masks))
+        size = cached[2] + sum(entry[2] for entry in _SUFFIX_CACHE.values())
+        while size > _SUFFIX_CACHE_MAX_BYTES and _SUFFIX_CACHE:
+            size -= _SUFFIX_CACHE.pop(next(iter(_SUFFIX_CACHE)))[2]
     _SUFFIX_CACHE[key] = cached
-    if len(_SUFFIX_CACHE) > 64:
-        del _SUFFIX_CACHE[next(iter(_SUFFIX_CACHE))]
-    return cached
+    return cached[:2]
 
 
 def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tuple[int, ...] | None:
     """Some solution vector of the defining equation for n, or None.
 
-    Depth-first search over variables in descending coefficient order; a
-    residual is abandoned as soon as the cached sieve of the remaining
-    sub-form rules it out (the suffix masks, little-endian bytes, one bit
-    per residual up to the window).  An n that the coefficients' gcd does
-    not divide gets None at once, before any mask is built: every term
-    a_i * P_m(x_i) is a multiple of that gcd.
+    Depth-first search over variables in descending coefficient order, the
+    largest term first; a residual is abandoned as soon as the cached sieve
+    of the remaining sub-form rules it out (the suffix masks, little-endian
+    bytes, one bit per residual up to the window).  Pruning drops only
+    subtrees that hold no solution, so every window gives the first solution
+    in this order, and a search that ends without one proves there is none.
+
+    The search runs in two phases.  The first has masks up to min(n,
+    `_FIRST_WINDOW`) (or a wider cached window) and may examine
+    `_BUDGET_PER_BIT` candidates per bit of its window; a represented n
+    usually needs a handful.  Only when that budget runs out are the masks up
+    to min(n, 2^20) fetched and the search run again with no budget.  A
+    first window that already covers min(n, 2^20) has no budget.  Before that
+    wide window is built for an n past 2^20, a form of rank >= 3 answers None
+    for an n it misses locally (rank <= 2 would factor n for that check).
+
+    An n that the coefficients' gcd does not divide gets None at once,
+    before any mask is built: every term a_i * P_m(x_i) is a multiple of that
+    gcd.
     """
     if n < 0:
         return None
@@ -431,45 +464,66 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
     rank = form.rank
     order = sorted(range(rank), key=lambda i: -form.coeffs[i])
     coeffs_desc = tuple(form.coeffs[i] for i in order)
-    w, masks = _suffix_window(m, coeffs_desc, domain, n)
     # coefficient -> (value, x) pairs up to n // a, built when a level first
     # needs them (the last level tests its residual with `is_polygonal`)
     pairs: dict[int, list[tuple[int, int]]] = {}
-
     assignment = [0] * rank
 
-    def admissible(i: int, residual: int) -> bool:
-        if residual < 0:
-            return False
-        if residual <= w:
-            return bool(masks[i][residual >> 3] >> (residual & 7) & 1)
-        return True  # beyond the cached window: cannot prune
+    def search(w: int, masks: list[bytes], budget: float) -> bool:
+        """Whether a solution exists (left in assignment); raises _Stalled
+        once the levels that failed examined more than budget candidates."""
+        left = budget
 
-    def dfs(i: int, residual: int) -> bool:
-        a = coeffs_desc[i]
-        if i == rank - 1:
-            if residual % a:
+        def admissible(i: int, residual: int) -> bool:
+            if residual < 0:
                 return False
-            x = is_polygonal(m, residual // a, domain)
-            if x is None:
-                return False
-            assignment[i] = x
-            return True
-        level = pairs.get(a)
-        if level is None:
-            level = pairs[a] = polygonal_pairs(m, n // a, domain)
-        hi = bisect.bisect_right(level, (residual // a, float("inf")))
-        for j in range(hi - 1, -1, -1):  # largest term first prunes fastest
-            v, x = level[j]
-            rest = residual - a * v
-            if not admissible(i + 1, rest):
-                continue
-            assignment[i] = x
-            if dfs(i + 1, rest):
+            if residual <= w:
+                return bool(masks[i][residual >> 3] >> (residual & 7) & 1)
+            return True  # beyond the window: cannot prune
+
+        def dfs(i: int, residual: int) -> bool:
+            nonlocal left
+            a = coeffs_desc[i]
+            if i == rank - 1:
+                if residual % a:
+                    return False
+                x = is_polygonal(m, residual // a, domain)
+                if x is None:
+                    return False
+                assignment[i] = x
                 return True
-        return False
+            level = pairs.get(a)
+            if level is None:
+                level = pairs[a] = polygonal_pairs(m, n // a, domain)
+            hi = bisect.bisect_right(level, (residual // a, float("inf")))
+            for j in range(hi - 1, -1, -1):  # largest term first prunes fastest
+                v, x = level[j]
+                rest = residual - a * v
+                if not admissible(i + 1, rest):
+                    continue
+                assignment[i] = x
+                if dfs(i + 1, rest):
+                    return True
+            left -= hi
+            if left < 0:
+                raise _Stalled
+            return False
 
-    if not admissible(0, n) or not dfs(0, n):
+        return admissible(0, n) and dfs(0, n)
+
+    full = min(n, _SUFFIX_CACHE_MAX_BOUND)
+    w, masks = _suffix_window(m, coeffs_desc, domain, min(n, _FIRST_WINDOW))
+    try:
+        found = search(w, masks, math.inf if w >= full else w * _BUDGET_PER_BIT)
+    except _Stalled:
+        if n > full and rank >= 3:
+            try:
+                if not locally_represented(form, n).overall:
+                    return None
+            except ResourceLimitError:
+                pass  # undecided locally (a budget error): the search decides
+        found = search(*_suffix_window(m, coeffs_desc, domain, full), math.inf)
+    if not found:
         return None
     out = [0] * rank
     for slot, original in enumerate(order):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mgonal import represent
 from mgonal.errors import CacheFormatError, ResourceLimitError
-from mgonal.forms import Domain, MgonalForm, decompose, polygonal_values
+from mgonal.forms import Domain, MgonalForm, decompose, is_polygonal, polygonal_pairs, polygonal_values
 from mgonal.represent import (
     _WORD_SIEVE_MIN_BOUND,
     RepresentedSet,
@@ -214,9 +214,9 @@ def test_suffix_masks_above_crossover_are_the_suffix_sieves():
 
 def test_suffix_window_reused_for_smaller_n(monkeypatch):
     f = MgonalForm.make(5, [1, 1, 2, 3, 5])
-    big, small = 4000, 350
+    big, small, past = 4000, 350, 300000
     cold = {}
-    for n in (big, small):
+    for n in (big, small, past):
         monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
         cold[n] = represents(f, n)
     monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
@@ -231,8 +231,10 @@ def test_suffix_window_reused_for_smaller_n(monkeypatch):
     assert represents(f, big) == cold[big]
     assert represents(f, small) == cold[small]
     assert builds == [big]  # the smaller n reused the window built for the larger one
+    assert represents(f, past) == cold[past]
+    assert builds == [big, 1 << 12]  # a window too small is rebuilt, up to the first window only
     represents(f, big + 1)
-    assert builds == [big, big + 1]  # a window too small is rebuilt
+    assert builds == [big, 1 << 12]  # and serves every n up to it
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,7 +251,7 @@ def test_missing_lists_every_gap(m, coeffs, domain, bound, start):
 
 
 def test_suffix_cache_keeps_the_recently_used_keys(monkeypatch):
-    """Past 64 keys the least recently used one is dropped, not every key."""
+    """Past its byte bound the least recently used keys are dropped, not every key."""
     monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
     builds = []
     real = represent._suffix_masks
@@ -260,11 +262,18 @@ def test_suffix_cache_keeps_the_recently_used_keys(monkeypatch):
 
     monkeypatch.setattr(represent, "_suffix_masks", counting)
     keys = [(5, (c, 1), Domain.NONNEG) for c in range(1, 67)]
+    size = sum(map(len, real(*keys[0], 100)))  # the masks of every key take as many bytes
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE_MAX_BYTES", 64 * size)
     for key in keys:
         represent._suffix_window(*key, 100)
         represent._suffix_window(*keys[0], 100)  # a hit makes keys[0] the most recent
     assert builds == keys  # keys[0] was never built again
     assert list(represent._SUFFIX_CACHE) == keys[3:] + keys[:1]
+    # a window eight times as wide takes the room of seven narrow ones:
+    # its own narrow masks and the six least recently used keys go
+    represent._suffix_window(*keys[5], 800)
+    assert list(represent._SUFFIX_CACHE) == keys[10:] + keys[:1] + keys[5:6]
+    assert sum(entry[2] for entry in represent._SUFFIX_CACHE.values()) <= 64 * size
 
 
 @st.composite
@@ -408,6 +417,140 @@ def test_gcd_exit_builds_no_masks(monkeypatch):
     for n in (1, 3, 1001, (1 << 20) + 1, (1 << 21) + 12345):
         assert represents(f, n) is None
         assert represents(f, n, Domain.INT) is None
+
+
+def one_window_represents(form, n, domain):
+    """The witness search with one window, min(n, 2^20), and no budget: the
+    search before it became two-phase, kept as its reference."""
+    if n % form.coeff_gcd:
+        return None
+    m, rank = form.m, form.rank
+    order = sorted(range(rank), key=lambda i: -form.coeffs[i])
+    desc = tuple(form.coeffs[i] for i in order)
+    w = min(n, 1 << 20)
+    masks = _suffix_masks(m, desc, domain, w)
+    xs = [0] * rank
+
+    def admissible(i, r):
+        return r >= 0 and (r > w or bool(masks[i][r >> 3] >> (r & 7) & 1))
+
+    def dfs(i, r):
+        a = desc[i]
+        if i == rank - 1:
+            xs[i] = is_polygonal(m, r // a, domain) if r % a == 0 else None
+            return xs[i] is not None
+        for v, x in reversed(polygonal_pairs(m, n // a, domain)):
+            if a * v <= r and admissible(i + 1, r - a * v):
+                xs[i] = x
+                if dfs(i + 1, r - a * v):
+                    return True
+        return False
+
+    if not (admissible(0, n) and dfs(0, n)):
+        return None
+    out = [0] * rank
+    for slot, i in enumerate(order):
+        out[i] = xs[slot]
+    return tuple(out)
+
+
+@st.composite
+def witness_queries(draw):
+    """(form, n, domain): n up to 5000, in (5000, 2^20] or in (2^20, 2^21],
+    sometimes rounded to a multiple of a coefficient gcd above 1."""
+    g = draw(st.sampled_from([1, 1, 2, 3]))
+    coeffs = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    form = MgonalForm.make(draw(st.integers(3, 12)), [g * c for c in coeffs])
+    lo, hi = draw(st.sampled_from([(1, 5000), (5001, 1 << 20), ((1 << 20) + 1, 1 << 21)]))
+    n = draw(st.integers(lo, hi))
+    if draw(st.booleans()):
+        n = max(g, n - n % g)
+    return form, n, draw(st.sampled_from(list(Domain)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    witness_queries(),
+    st.sampled_from([0, 1 / (1 << 12), represent._BUDGET_PER_BIT]),
+    st.sampled_from([1 << 6, represent._FIRST_WINDOW]),
+    st.one_of(st.none(), st.integers(1, 1 << 14)),
+)
+def test_two_phase_search_returns_the_one_window_witness(case, budget_per_bit, first, warm):
+    """The same witness, or None, as one search over the full window, with
+    the first phase's budget forced to zero or one candidate (so that the
+    fallback runs too), a first window of 2^6 or 2^12, and the cache cold
+    or warmed by another n."""
+    form, n, domain = case
+    with (
+        mock.patch.object(represent, "_SUFFIX_CACHE", {}),
+        mock.patch.object(represent, "_BUDGET_PER_BIT", budget_per_bit),
+        mock.patch.object(represent, "_FIRST_WINDOW", first),
+    ):
+        if warm is not None:
+            represents(form, warm, domain)
+        got = represents(form, n, domain)
+    if n > 1 << 20 and not represented_set(form, n, domain).contains(n):
+        assert got is None  # the one-window search would enumerate blindly here
+    else:
+        assert got == one_window_represents(form, n, domain)
+
+
+def test_wide_window_built_only_when_the_first_phase_stalls(monkeypatch):
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    builds = []
+    real = represent._suffix_masks
+    monkeypatch.setattr(represent, "_suffix_masks", lambda *args: builds.append(args[-1]) or real(*args))
+    monkeypatch.setattr(represent, "locally_represented", lambda *args: pytest.fail("local check on the fast path"))
+    # a represented n past 2^20 finds its witness in the first window
+    f = MgonalForm.make(5, [1, 1, 2, 3, 5])
+    n = (1 << 20) + 12345
+    w = represents(f, n)
+    assert w is not None and f.evaluate(w) == n
+    assert builds == [1 << 12]
+    # an n in (2^12, 2^20] that no sum of three squares hits: the first
+    # window stalls, and the window up to n rules n out at once
+    n = 8 * (1 << 16) + 7
+    assert represents(MgonalForm.make(4, [1, 1, 1]), n) is None
+    assert builds == [1 << 12, 1 << 12, n]
+
+
+def test_locally_missed_n_past_the_full_window_builds_no_wide_window(monkeypatch):
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    builds = []
+    real = represent._suffix_masks
+    monkeypatch.setattr(represent, "_suffix_masks", lambda *args: builds.append(args[-1]) or real(*args))
+    checked = []
+    real_local = represent.locally_represented
+    monkeypatch.setattr(represent, "locally_represented", lambda *args: checked.append(args) or real_local(*args))
+    f = MgonalForm.make(4, [1, 1, 1])
+    n = 8 * (1 << 17) + 7  # 2^20 + 7, missed by three squares over Z_2
+    for domain in Domain:
+        assert represents(f, n, domain) is None
+    assert checked == [(f, n)] * 2
+    assert builds == [1 << 12] * 2
+    # rank 2 has no local exit (its factoring can hit a budget error): with
+    # the budget at zero, the fallback builds the full window
+    monkeypatch.setattr(represent, "_BUDGET_PER_BIT", 0)
+    monkeypatch.setattr(represent, "locally_represented", lambda *args: pytest.fail("local check at rank 2"))
+    n = 3 * ((1 << 20) + 1)  # 3 divides n once: no sum of two squares
+    assert represents(MgonalForm.make(4, [1, 1]), n) is None
+    assert builds == [1 << 12] * 3 + [1 << 20]
+
+
+def test_fallback_searches_when_the_local_check_cannot_factor(monkeypatch):
+    """Past 2^20 the local check of <1,2,p*q>_5, p and q primes past 2^20,
+    raises a budget error; the fallback search answers instead."""
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    monkeypatch.setattr(represent, "_BUDGET_PER_BIT", 0)
+    f = MgonalForm.make(5, [1, 2, 1048583 * 1048589])
+    with pytest.raises(ResourceLimitError):
+        represent.locally_represented(f, (1 << 20) + 1)
+    # <1,2>_5 misses 2^20 + 1 over N_0 only and 2^20 + 2 over both domains,
+    # so the first phase stalls
+    for n in ((1 << 20) + 1, (1 << 20) + 2):
+        for domain in Domain:
+            assert represents(f, n, domain) == one_window_represents(f, n, domain)
+    assert represents(f, (1 << 20) + 1, Domain.INT) is not None
 
 
 def test_truant_examples():
