@@ -23,7 +23,6 @@ __all__ = [
     "is_polygonal",
     "decompose",
     "polygonal_values",
-    "polygonal_pairs",
 ]
 
 
@@ -137,37 +136,26 @@ def decompose(m: int, n: int) -> Decomposition:
     return Decomposition(A=n // (m - 2), B=n % (m - 2), m=m)
 
 
-def _polygonal_walk(m: int, bound: int, domain: Domain) -> dict[int, int]:
-    """value -> x for every P_m(x) = value <= bound over the domain, in walk order.
+def polygonal_values(m: int, bound: int, domain: Domain = Domain.NONNEG) -> list[int]:
+    """All distinct values P_m(x) <= bound over the domain, ascending (0 included).
 
     Walks x = 0, 1, ... and then, for Domain.INT, x = -1, -2, ..., stepping
-    P_m by its exact first difference.  A value hit twice keeps the x of
-    smallest |x|, nonnegative on ties (as `is_polygonal`).
+    P_m by its exact first difference.
     """
     if m < 3:
         raise ValueError(f"polygon order must be >= 3, got {m}")
-    pairs: dict[int, int] = {}
+    values = []
     v, x = 0, 0
     while v <= bound:
-        pairs[v] = x
+        values.append(v)
         v += (m - 2) * x + 1  # P_m(x + 1) - P_m(x)
         x += 1
     if domain is Domain.INT:
-        # P_m(k) <= P_m(-k) < P_m(k + 1) for m >= 4 and P_3(-k) = P_3(k - 1),
-        # so a negative x never has smaller |x| than the nonnegative one
         v, x = m - 3, -1
         while v <= bound:
-            pairs.setdefault(v, x)
+            values.append(v)
             x -= 1
             v -= (m - 2) * x + 1  # P_m(x) - P_m(x + 1)
-    return pairs
-
-
-def polygonal_pairs(m: int, bound: int, domain: Domain = Domain.NONNEG) -> list[tuple[int, int]]:
-    """(value, x) pairs with P_m(x) = value <= bound over the domain, ascending by value."""
-    return sorted(_polygonal_walk(m, bound, domain).items())
-
-
-def polygonal_values(m: int, bound: int, domain: Domain = Domain.NONNEG) -> list[int]:
-    """All distinct values P_m(x) <= bound over the domain, ascending (0 included)."""
-    return sorted(_polygonal_walk(m, bound, domain))
+        # two ascending runs, which share values for m <= 4
+        values = sorted(dict.fromkeys(values))
+    return values

@@ -6,10 +6,11 @@ Three engines live here:
   vector as the MGRS body (bit N set iff N is a value of the form), the
   workhorse for truants and exception audits;
 * `represents` — a witness search (depth-first over variables in descending
-  coefficient order, pruned by cached suffix sieves in the same layout: first
-  up to a narrow window, under a budget of candidates, and only when that
-  runs out up to 2^20; an n that the coefficients' gcd does not divide is
-  answered None before any sieve);
+  coefficient order, each level walking its candidates down from the largest
+  value in closed form, pruned by cached suffix sieves in the same layout:
+  first up to a narrow window, under a budget of candidates, and only when
+  that runs out up to 2^20; an n that the coefficients' gcd does not divide
+  is answered None before any sieve);
 * `solve_system` — exact solution of the pair
   sum a_i x_i^2 = alpha, sum a_i x_i = beta, the auxiliary system every
   representation of A*(m-2)+B with parameter k reduces to.
@@ -17,9 +18,9 @@ Three engines live here:
 Both sieves, the full set and the witness search's suffix masks, come from
 `_sieve_accs`: the first coefficient's values a*P_m(v) are written directly,
 and each further one applies `_sieve_step`: acc -> OR over v of
-acc << a*P_m(v), masked to [0, bound], with the values from a small memo
-of read-only int64 arrays (`_step_values`).  The accumulator keeps one form
-from the first step to the last: a big int below the measured break-even
+acc << a*P_m(v), masked to [0, bound], with the values a read-only prefix
+of one int64 table per (m, domain) (`_step_values`).  The accumulator keeps
+one form from the first step to the last: a big int below the measured break-even
 `_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's fixed cost per call would
 dominate and the step is a loop of big-int shifts and ORs over the values as
 Python ints; little-endian numpy uint64 words from there up, where shifted
@@ -35,17 +36,15 @@ The set serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CacheFormatError, ResourceLimitError
-from .forms import Domain, MgonalForm, is_polygonal, polygonal_pairs, polygonal_values
+from .forms import Domain, MgonalForm, is_polygonal, polygonal_number, polygonal_values
 from .local import locally_represented
 
 __all__ = [
@@ -320,13 +319,48 @@ def _words_with_bits(pos: np.ndarray, nwords: int) -> np.ndarray:
 _Acc = int | np.ndarray
 
 
-@lru_cache(maxsize=16)
+# (m, domain) -> (reach, the values P_m(x) <= reach ascending, a read-only
+# int64 array); a table grows to at least twice its reach, so a sweep over
+# growing bounds rebuilds it a logarithmic number of times
+_VALUE_TABLES: dict[tuple[int, Domain], tuple[int, np.ndarray]] = {}
+
+
+def _value_count(m: int, top: int, domain: Domain) -> int:
+    """How many values P_m(x) <= top (top >= 0) the domain has.
+
+    The largest x >= 0 with P_m(x) <= top, k, is the floor of the positive
+    root of (m-2)x^2 - (m-4)x - 2 top, from one isqrt.  Over Z a negative x
+    repeats a value for m <= 4 (P_4(-x) = P_4(x), P_3(-x) = P_3(x-1)); for
+    m >= 5, P_m(j) < P_m(-j) < P_m(j+1), so the values ascend at x = 0, 1,
+    -1, 2, -2, ... and P_m(-k) may be one more.
+    """
+    k = (m - 4 + math.isqrt((m - 4) ** 2 + 8 * (m - 2) * top)) // (2 * (m - 2))
+    if domain is Domain.NONNEG or m <= 4:
+        return k + 1
+    return 2 * k + 1 if polygonal_number(m, -k) <= top else 2 * k
+
+
+def _candidates(m: int, top: int, domain: Domain) -> tuple[int, Iterable[int]]:
+    """(count, xs): one x per value P_m(x) <= top over the domain, the one
+    `is_polygonal` gives, largest value first.  Rank j (0 for the value 0)
+    has x = j, or over Z for m >= 5 the j-th of 0, 1, -1, 2, -2, ..."""
+    count = _value_count(m, top, domain)
+    ranks = range(count - 1, -1, -1)
+    if domain is Domain.NONNEG or m <= 4:
+        return count, ranks
+    return count, (((j + 1) >> 1 if j & 1 else -(j >> 1)) for j in ranks)
+
+
 def _step_values(m: int, top: int, domain: Domain) -> np.ndarray:
     """The values P_m(v) <= top of one step, ascending (0 first), as a
-    read-only int64 array."""
-    values = np.array(polygonal_values(m, top, domain), dtype=np.int64)
-    values.flags.writeable = False
-    return values
+    read-only int64 prefix view of the (m, domain) value table."""
+    reach, table = _VALUE_TABLES.get((m, domain), (-1, None))
+    if top > reach:
+        reach = max(top, 2 * reach)
+        table = np.array(polygonal_values(m, reach, domain), dtype=np.int64)
+        table.flags.writeable = False
+        _VALUE_TABLES[m, domain] = reach, table
+    return table[: _value_count(m, top, domain)]
 
 
 def _sieve_accs(m: int, coeffs: Sequence[int], domain: Domain, bound: int) -> Iterator[_Acc]:
@@ -440,6 +474,12 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
     bytes, one bit per residual up to the window).  Pruning drops only
     subtrees that hold no solution, so every window gives the first solution
     in this order, and a search that ends without one proves there is none.
+    A level with residual r and coefficient a takes the x with a*P_m(x) <= r,
+    x as `is_polygonal` would give it, largest value first: their count
+    comes from one isqrt, and the x of each from its rank (`_candidates`),
+    so no level lists its values: a level costs the candidates it examines,
+    whatever the size of n.  The last level tests its residual with
+    `is_polygonal`.
 
     The search runs in two phases.  The first has masks up to min(n,
     `_FIRST_WINDOW`) (or a wider cached window) and may examine
@@ -464,9 +504,6 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
     rank = form.rank
     order = sorted(range(rank), key=lambda i: -form.coeffs[i])
     coeffs_desc = tuple(form.coeffs[i] for i in order)
-    # coefficient -> (value, x) pairs up to n // a, built when a level first
-    # needs them (the last level tests its residual with `is_polygonal`)
-    pairs: dict[int, list[tuple[int, int]]] = {}
     assignment = [0] * rank
 
     def search(w: int, masks: list[bytes], budget: float) -> bool:
@@ -492,13 +529,9 @@ def represents(form: MgonalForm, n: int, domain: Domain = Domain.NONNEG) -> tupl
                     return False
                 assignment[i] = x
                 return True
-            level = pairs.get(a)
-            if level is None:
-                level = pairs[a] = polygonal_pairs(m, n // a, domain)
-            hi = bisect.bisect_right(level, (residual // a, float("inf")))
-            for j in range(hi - 1, -1, -1):  # largest term first prunes fastest
-                v, x = level[j]
-                rest = residual - a * v
+            hi, xs = _candidates(m, residual // a, domain)
+            for x in xs:  # largest term first prunes fastest
+                rest = residual - a * polygonal_number(m, x)
                 if not admissible(i + 1, rest):
                     continue
                 assignment[i] = x

@@ -39,6 +39,13 @@ def test_represent_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert sorted(payload["witness"]) == [1, 2]
+    # far past the suffix window the search still finds a witness at once
+    n = 10**30 + 1
+    code, out = run_cli(
+        capsys, "represent", "--m", "5", "--coeffs", "1,1,2,3,5", "--n", str(n), "--format", "json"
+    )
+    assert code == 0
+    assert MgonalForm.make(5, [1, 1, 2, 3, 5]).evaluate(json.loads(out)["witness"]) == n
 
 
 def test_usage_error_exit_2(capsys):

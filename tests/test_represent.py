@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mgonal import represent
 from mgonal.errors import CacheFormatError, ResourceLimitError
-from mgonal.forms import Domain, MgonalForm, decompose, is_polygonal, polygonal_pairs, polygonal_values
+from mgonal.forms import Domain, MgonalForm, decompose, is_polygonal, polygonal_number, polygonal_values
 from mgonal.represent import (
     _WORD_SIEVE_MIN_BOUND,
     RepresentedSet,
@@ -193,6 +195,18 @@ def test_step_value_arrays_sieve_like_tuples(m, coeffs, domain, bound):
     assert values.tolist() == polygonal_values(m, bound // coeffs[-1], domain)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 20), st.sampled_from(list(Domain)), st.lists(st.integers(0, 10**5), min_size=1, max_size=8))
+def test_step_values_are_read_only_prefixes_of_one_table(m, domain, tops):
+    """Whatever order the tops come in, growing or shrinking, each step's
+    values are the listed values up to its top."""
+    with mock.patch.object(represent, "_VALUE_TABLES", {}):
+        for top in tops:
+            values = represent._step_values(m, top, domain)
+            assert values.dtype == np.int64 and not values.flags.writeable
+            assert values.tolist() == polygonal_values(m, top, domain)
+
+
 def test_mgrs_bytes_above_crossover_match_bigint_loop():
     bound = _WORD_SIEVE_MIN_BOUND + 1000
     for form, domain in ((MgonalForm.make(7, [1, 2, 2, 3, 5]), Domain.NONNEG), (MgonalForm.make(10, [1, 3, 4]), Domain.INT)):
@@ -361,16 +375,58 @@ def test_represents_agrees_with_sieve_on_fixed_form():
             assert f.evaluate(w) == n
 
 
-def test_represents_builds_each_level_once_and_skips_the_last(monkeypatch):
+def test_warm_represents_lists_no_values_and_ends_with_is_polygonal(monkeypatch):
     f = MgonalForm.make(5, [1, 2, 3, 3])
     n = 5000
-    want = represents(f, n)
-    built = []
-    real = represent.polygonal_pairs
-    monkeypatch.setattr(represent, "polygonal_pairs", lambda m, b, d: built.append(b) or real(m, b, d))
+    want = represents(f, n)  # warms the suffix masks and the value tables
+    monkeypatch.setattr(represent, "polygonal_values", lambda *args: pytest.fail("values listed"))
+    tested = []
+    real = represent.is_polygonal
+    monkeypatch.setattr(represent, "is_polygonal", lambda m, v, d: tested.append(v) or real(m, v, d))
     assert represents(f, n) == want
-    # levels 3, 3, 2 share two lists; the last level (a = 1) tests is_polygonal
-    assert sorted(built) == [n // 3, n // 2]
+    # the last level (a = 1) decides its residual with is_polygonal
+    assert tested[-1] == polygonal_number(5, want[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 20), st.sampled_from(list(Domain)), st.one_of(st.integers(0, 10**6), st.integers(2**64, 2**80)))
+def test_candidates_walk_the_values_down_in_closed_form(m, domain, top):
+    """The candidates of a level are the values <= top, largest first, each
+    with is_polygonal's x; past 2^64 the largest few against the values of
+    every x near the top, with no list of all values."""
+    count, xs = represent._candidates(m, top, domain)
+    if top <= 10**6:
+        xs = list(xs)
+        assert count == len(xs)
+        assert [polygonal_number(m, x) for x in xs] == polygonal_values(m, top, domain)[::-1]
+    else:
+        xs = [x for x, _ in zip(xs, range(8))]
+    for x in xs:
+        assert is_polygonal(m, polygonal_number(m, x), domain) == x
+    # every value <= top has |x| <= k + 1, and the 8 largest have |x| >= k - 7
+    k = math.isqrt(2 * top // (m - 2))
+    signs = (1, -1) if domain is Domain.INT else (1,)
+    near = {polygonal_number(m, s * x) for x in range(max(0, k - 8), k + 3) for s in signs}
+    near = sorted((v for v in near if v <= top), reverse=True)
+    assert [polygonal_number(m, x) for x in xs[:8]] == near[: len(xs[:8])]
+
+
+@pytest.mark.parametrize("n", [10**12 + 7, 10**18 + 3, 10**30 + 1])
+def test_represents_at_huge_n_lists_no_values_past_the_window(monkeypatch, n):
+    """A witness for a huge locally represented n, fast, with value lists no
+    longer than the full window's (the old per-level lists grew as sqrt(n))."""
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    monkeypatch.setattr(represent, "_VALUE_TABLES", {})
+    tops = []
+    real = represent.polygonal_values
+    monkeypatch.setattr(represent, "polygonal_values", lambda m, top, d: tops.append(top) or real(m, top, d))
+    f = MgonalForm.make(5, [1, 1, 2, 3, 5])
+    for domain in Domain:
+        start = time.perf_counter()
+        w = represents(f, n, domain)
+        assert time.perf_counter() - start < 1.0
+        assert w is not None and f.evaluate(w) == n
+    assert tops and max(tops) <= represent._SUFFIX_CACHE_MAX_BOUND
 
 
 def test_represents_agrees_with_sieve_randomized():
@@ -430,6 +486,8 @@ def one_window_represents(form, n, domain):
     w = min(n, 1 << 20)
     masks = _suffix_masks(m, desc, domain, w)
     xs = [0] * rank
+    # coefficient -> (value, x) pairs up to n // a, largest value first
+    pairs = {a: [(v, is_polygonal(m, v, domain)) for v in reversed(polygonal_values(m, n // a, domain))] for a in desc}
 
     def admissible(i, r):
         return r >= 0 and (r > w or bool(masks[i][r >> 3] >> (r & 7) & 1))
@@ -439,7 +497,7 @@ def one_window_represents(form, n, domain):
         if i == rank - 1:
             xs[i] = is_polygonal(m, r // a, domain) if r % a == 0 else None
             return xs[i] is not None
-        for v, x in reversed(polygonal_pairs(m, n // a, domain)):
+        for v, x in pairs[a]:
             if a * v <= r and admissible(i + 1, r - a * v):
                 xs[i] = x
                 if dfs(i + 1, r - a * v):

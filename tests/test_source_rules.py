@@ -86,3 +86,18 @@ def test_every_export_is_defined():
         module = importlib.import_module(f"mgonal.{path.stem}") if path.stem != "__init__" else mgonal
         found += [f"{path.name}:{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert found == []
+
+
+def test_represent_lists_values_only_for_its_value_table():
+    # the sieve steps read prefixes of one table per (m, domain), and the
+    # witness search walks its candidates in closed form: only the table
+    # lists values
+    tree = ast.parse((Path(mgonal.__file__).parent / "represent.py").read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "polygonal_values"
+    }
+    assert callers == {"_step_values"}
