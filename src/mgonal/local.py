@@ -1,24 +1,13 @@
 """Local (p-adic) representability.
 
-The decision kernel `quad_diag_represents_zp` answers whether a diagonal
-quadratic form sum a_i x_i^2 takes the value t over the p-adic integers.  It
-refines residue classes mod p, p^2, ... and stops as soon as a class carries a
-Hensel-liftable coordinate (the equation holds mod p^(2s+1) where s is the
-valuation of a gradient entry 2*a_i*x_i); if the refinement survives to
-
-    e_max = ord_p(t) + ord_p(4 * prod(a_i)) + 3
-
-with no liftable class, no solution exists: any class mod p^e_max would force
-every term's valuation past ord_p(t), contradicting the equation.  The walk is
-depth-first and the surviving classes of each level come from a generator
-(`_refinement_children`), so a walk that finds a liftable class at the first
-child of every level never decodes the other classes.
-
-At odd p the verdict has a closed form, the Jordan recursion of
-`_odd_represents_zp` (O'Meara, Introduction to Quadratic Forms, §92): it
-decides every odd-p verdict below, and the kernel's verdict wherever its
-residue grid p^rank would exceed `GRID_BUDGET`.  The walk decides p = 2 and
-gives the certificates `quad_diag_represents_zp` returns.
+Does a diagonal quadratic form sum a_i x_i^2 take the value t over the p-adic
+integers?  One recursion per prime decides it exactly, at any rank, prime and
+target size.  Each splits the solutions by whether some unit-coefficient
+coordinate is a unit: those lift by Hensel from a solution mod p (odd p,
+`_odd_represents_zp`, O'Meara, Introduction to Quadratic Forms, §92) or mod 8
+(p = 2, `_two_adic_represents_zp`); every other solution is p times a solution
+of a rescaled form at t/p, so the recursion divides t by p and goes on.
+`quad_diag_represents_zp` checks its input and returns the verdict.
 
 A verdict depends only on the target's square class (`_canonical_target`),
 so `_represents_zp` memoizes verdicts per (coefficients, class, p), and every
@@ -34,9 +23,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
-
-import numpy as np
 
 from .errors import ResourceLimitError
 from .forms import MgonalForm
@@ -46,18 +32,11 @@ __all__ = [
     "LocalVerdict",
     "LocalProfile",
     "quad_diag_represents_zp",
-    "e_max_level",
     "mgonal_represents_zp",
     "relevant_primes",
     "locally_represented",
     "local_exceptions",
 ]
-
-# Residue grids are materialized up to this many classes.  Past it an odd p
-# is decided by the Jordan recursion, so the budget binds only at p = 2
-# (rank > 22), as a budget error.
-GRID_BUDGET = 1 << 22
-NODE_BUDGET = 50_000_000
 
 
 class LocalReason(Enum):
@@ -130,6 +109,16 @@ def _unit_classes(p: int) -> tuple[int, ...]:
     return (1, next(g for g in range(2, p) if not _is_square_mod(g, p)))
 
 
+def quad_diag_represents_zp(coeffs, t: int, p: int) -> bool:
+    """Decide sum a_i x_i^2 = t over Z_p, for positive integer coefficients."""
+    coeffs = tuple(int(a) for a in coeffs)
+    if not coeffs:
+        raise ValueError("empty coefficient vector")
+    if any(a < 1 for a in coeffs):
+        raise ValueError("coefficients must be positive")
+    return _represents_zp(coeffs, t, p)
+
+
 def _represents_zp(coeffs: tuple[int, ...], t: int, p: int) -> bool:
     """The verdict of `quad_diag_represents_zp` on t, from the memo of t's class."""
     if t <= 0:
@@ -140,7 +129,7 @@ def _represents_zp(coeffs: tuple[int, ...], t: int, p: int) -> bool:
 @lru_cache(maxsize=1 << 14)
 def _class_represents_zp(coeffs: tuple[int, ...], t: int, p: int) -> bool:
     if p == 2:
-        return quad_diag_represents_zp(coeffs, t, p)[0]
+        return _two_adic_represents_zp(coeffs, t)
     return _odd_represents_zp(coeffs, t, p)
 
 
@@ -163,6 +152,35 @@ def _odd_represents_zp(coeffs, t: int, p: int) -> bool:
             return True
         coeffs = [a // p for a in coeffs if a % p == 0] + [a * p for a in units]
         t //= p
+
+
+def _two_adic_represents_zp(coeffs, t: int) -> bool:
+    """sum a_i x_i^2 = t over Z_2 for t > 0: the dyadic recursion.
+
+    Four odd coefficients represent every 2-adic integer (the mod-8 step
+    below reaches every odd target and every t = 2 mod 4 from them, and
+    4 | t is 4 times a smaller target).  Otherwise, a
+    solution with some odd a_i x_i has ord_2(2 a_i x_i) = 1, so it lifts by
+    Hensel from a solution mod 8, and a_i x_i^2 mod 8 is 0 or 4 a_i for even
+    x_i, a_i for odd x_i: a walk over the states (Q mod 8, some odd a_i x_i)
+    finds one.  Every other solution has x_i = 2 y_i wherever a_i is odd,
+    so 2 | t, and the form with the even coefficients halved and the odd
+    ones doubled represents t/2.
+    """
+    while True:
+        odd = [a for a in coeffs if a % 2]
+        if len(odd) >= 4:
+            return True
+        reach = {(0, False)}
+        for a in coeffs:
+            terms = ((0, False), (4 * a % 8, False), (a % 8, a % 2 == 1))
+            reach = {((q + v) % 8, f or g) for q, f in reach for v, g in terms}
+        if (t % 8, True) in reach:
+            return True
+        if t % 2:
+            return False
+        coeffs = [a // 2 for a in coeffs if a % 2 == 0] + [a * 2 for a in odd]
+        t //= 2
 
 
 # Trial division stops at this factor (about 2^20): every n below its square
@@ -223,121 +241,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def e_max_level(coeffs, t: int, p: int) -> int:
-    """Refinement depth past which an unliftable solution class is impossible."""
-    if t == 0:
-        raise ValueError("e_max is only defined for t != 0")
-    prod = math.prod(coeffs)
-    return _vp(t, p) + _vp(4 * prod, p) + 3
-
-
-def quad_diag_represents_zp(
-    coeffs,
-    t: int,
-    p: int,
-    node_budget: int = NODE_BUDGET,
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide sum a_i x_i^2 = t over Z_p; also return a liftable witness if found.
-
-    The witness is a residue vector mod p^e whose lift is guaranteed by the
-    single-variable Newton step on a coordinate with ord_p(2 a_i x_i) = s and
-    the equation valid mod p^(2s+1).
-    """
-    coeffs = tuple(int(a) for a in coeffs)
-    if not coeffs:
-        raise ValueError("empty coefficient vector")
-    if any(a < 1 for a in coeffs):
-        raise ValueError("coefficients must be positive")
-    if t < 0:
-        return False, None
-    if t == 0:
-        return True, (0,) * len(coeffs)
-    # a common p-power in the coefficients carries over to the target verbatim
-    # (same witnesses), and leaving it in pads the residue classes with dead digits
-    shift = min(_vp(a, p) for a in coeffs)
-    if shift:
-        if t % p**shift:
-            return False, None
-        coeffs = tuple(a // p**shift for a in coeffs)
-        t //= p**shift
-    n = len(coeffs)
-    if p**n > GRID_BUDGET:
-        if p == 2:
-            raise ResourceLimitError(f"residue grid p^n = {p}^{n} exceeds budget")
-        return _odd_represents_zp(coeffs, t, p), None
-    return _refinement_search(coeffs, t, p, e_max_level(coeffs, t, p), node_budget)
-
-
-def _refinement_children(coeffs, xs, t, p, pe, mod):
-    """Surviving classes xs + pe*delta of the next refinement level, yielded
-    lazily in lexicographic order of delta.
-
-    Vectorized when the arithmetic fits int64 (the survivors are found in
-    bulk, and each is decoded from its flat index when the walk takes it),
-    exact Python ints past that.  The walk usually stops at the first child,
-    so nothing is turned into Python tuples ahead of need.
-    """
-    n = len(coeffs)
-    if (pe * p) ** 2 * sum(coeffs) < (1 << 62):
-        digits = np.arange(p, dtype=np.int64)
-        total = (coeffs[0] * (xs[0] + pe * digits) ** 2).reshape(-1)
-        for i in range(1, n):
-            term = coeffs[i] * (xs[i] + pe * digits) ** 2
-            total = (total[:, None] + term[None, :]).reshape(-1)
-        # t may exceed int64; only its class mod `mod` matters
-        keep = np.flatnonzero((total - t % mod) % mod == 0)
-        for k in keep.tolist():  # a flat index holds delta's digits, the last lowest
-            ys = [0] * n
-            for i in range(n - 1, -1, -1):
-                k, d = divmod(k, p)
-                ys[i] = xs[i] + pe * d
-            yield tuple(ys)
-        return
-    for d in product(range(p), repeat=n):
-        ys = tuple(x + pe * di for x, di in zip(xs, d))
-        if (sum(a * y * y for a, y in zip(coeffs, ys)) - t) % mod == 0:
-            yield ys
-
-
-def _refinement_search(coeffs, t, p, e_max, node_budget=NODE_BUDGET):
-    """Depth-first refinement over residue classes with the barren-branch prune."""
-    n = len(coeffs)
-    lift_shift = tuple(_vp(2 * a, p) for a in coeffs)
-    a_shift = tuple(_vp(a, p) for a in coeffs)
-    visited = 0
-    big = 1 << 60
-
-    def walk(e, xs):
-        nonlocal visited
-        visited += 1
-        if visited > node_budget:
-            raise ResourceLimitError(f"refinement walk exceeded {node_budget} classes")
-        svals = [lift_shift[i] + _vp(xs[i], p) if xs[i] else big for i in range(n)]
-        if any(2 * s + 1 <= e for s in svals):
-            return xs
-        if e == e_max:
-            return None
-        fval = sum(a * x * x for a, x in zip(coeffs, xs)) - t
-        if fval:
-            vf = _vp(fval, p)
-            k_stab = min(min(e + svals[i], 2 * e + a_shift[i]) for i in range(n))
-            future_s = min(min(svals[i], e + lift_shift[i]) for i in range(n))
-            if vf < k_stab and 2 * future_s + 1 > vf:
-                return None  # barren branch: dies at depth vf, never liftable
-        pe = p**e
-        for ys in _refinement_children(coeffs, xs, t, p, pe, pe * p):
-            got = walk(e + 1, ys)
-            if got is not None:
-                return got
-        return None
-
-    for first in _refinement_children(coeffs, (0,) * n, t, p, 1, p):
-        got = walk(1, first)
-        if got is not None:
-            return True, got
-    return False, None
 
 
 def _case_reason(m: int, p: int) -> LocalReason:

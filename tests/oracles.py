@@ -138,6 +138,22 @@ def congruence_solvable_quad(coeffs, t: int, p: int, levels: int) -> bool:
     return dfs(0, (0,) * n)
 
 
+def congruence_depth(coeffs, t: int, p: int) -> int:
+    """A depth past which mod-p^e solvability of sum a_i x_i^2 == t equals
+    Z_p solvability (t != 0): ord_p(t) + ord_p(4 * prod(a_i)) + 3.
+
+    A class mod p that deep either carries a coordinate whose Newton step
+    converges, or forces every term's valuation past ord_p(t)."""
+    if t == 0:
+        raise ValueError("the depth is only defined for t != 0")
+    depth = 3
+    for r in (t, 4 * math.prod(coeffs)):
+        while r % p == 0:
+            r //= p
+            depth += 1
+    return depth
+
+
 def mgonal_congruence_levels(form: MgonalForm, p: int, e: int) -> int:
     """Digit depth needed so residues mod p^depth pin the congruence mod p^e
     (one extra digit at p = 2 because of the halved quadratic term)."""

@@ -11,7 +11,6 @@ from mgonal.cli import load_or_build_set, main
 from mgonal.forms import Domain, MgonalForm, decompose
 from mgonal.local import (
     LocalReason,
-    e_max_level,
     mgonal_represents_zp,
     quad_diag_represents_zp,
 )
@@ -33,6 +32,7 @@ from mgonal.escalator import (
 )
 
 from oracles import (
+    congruence_depth,
     congruence_solvable_quad,
     mgonal_congruence_depth,
     mgonal_congruence_solvable,
@@ -123,8 +123,8 @@ def test_c04_local_kernel_oracle_equivalence():
         for t in range(1, 201):
             for p in (2, 3, 5):
                 total += 1
-                kernel, _ = quad_diag_represents_zp(coeffs, t, p)
-                oracle = congruence_solvable_quad(coeffs, t, p, e_max_level(coeffs, t, p))
+                kernel = quad_diag_represents_zp(coeffs, t, p)
+                oracle = congruence_solvable_quad(coeffs, t, p, congruence_depth(coeffs, t, p))
                 if kernel != oracle:
                     mismatches += 1
     elapsed = time.time() - t0

@@ -10,8 +10,10 @@ from mgonal.cli import cache_file_name, load_or_build_set, main
 from mgonal.errors import CacheFormatError
 from mgonal.escalator import build_tree, tree_nodes
 from mgonal.forms import Domain, MgonalForm
-from mgonal.local import mgonal_represents_zp, quad_diag_represents_zp
+from mgonal.local import mgonal_represents_zp
 from mgonal.represent import RepresentedSet, represented_set
+
+import refinement_walk
 
 
 def run_cli(capsys, *argv):
@@ -241,13 +243,13 @@ def test_truant_escalate_doubles_the_bound(tmp_path, capsys, monkeypatch, argv, 
 
 @pytest.mark.parametrize("m, coeffs, big", [(5, (1, 1, 1, 1, 23), 23), (8, (1, 2, 3, 5, 29), 29)])
 def test_local_past_the_odd_prime_grid_budget(capsys, m, coeffs, big):
-    # big^5 residue classes exceed the grid budget and big divides a
-    # coefficient; the four unit coefficients represent every target at big
+    # big^5 residue classes exceed the reference walk's grid budget and big
+    # divides a coefficient; the four unit coefficients represent every target at big
     form = MgonalForm.make(m, coeffs)
-    assert big ** len(coeffs) > local.GRID_BUDGET
+    assert big ** len(coeffs) > refinement_walk.GRID_BUDGET
 
     def walked(c, t, p):
-        return quad_diag_represents_zp(c, t, p)[0]
+        return refinement_walk.walk_represents_zp(c, t, p)[0]
 
     for n in (1, 2, 1000, 10**6 + 7):
         argv = ["local", "--m", str(m), "--coeffs", ",".join(map(str, coeffs)), "--n", str(n)]
@@ -258,6 +260,17 @@ def test_local_past_the_odd_prime_grid_budget(capsys, m, coeffs, big):
         with mock.patch.object(local, "_represents_zp", walked):  # the other primes, as the walk decides them
             assert verdicts == {p: mgonal_represents_zp(form, n, p).to_json_dict() for p in verdicts}
         assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_local_past_the_dyadic_grid_budget(capsys):
+    # 2^23 residue classes at p = 2: four odd coefficients represent every
+    # 2-adic integer, so the verdict at 2 needs no walk
+    argv = ["local", "--m", "8", "--coeffs", ",".join(["1"] * 23), "--n", "7", "--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    verdicts = {v["p"]: v for v in json.loads(out)["verdicts"]}
+    assert verdicts[2] == {"p": 2, "represented": True, "reason": "QUAD_REDUCTION_2"}
+    assert run_cli(capsys, *argv[:-2])[0] == 0
 
 
 def test_local_past_int64_targets(capsys):

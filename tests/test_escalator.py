@@ -160,7 +160,7 @@ def residue_sweep_universal(coeffs) -> bool:
             for j in range(j_cap + 1):
                 key = (_canonical_target(r * p**j, p), p)
                 if key not in decided:
-                    decided[key] = quad_diag_represents_zp(coeffs, key[0], p)[0]
+                    decided[key] = quad_diag_represents_zp(coeffs, key[0], p)
                 if not decided[key]:
                     return False
     return True

@@ -15,9 +15,8 @@ from mgonal.local import (
     _is_prime_mr,
     _prime_factors,
     _odd_represents_zp,
-    _refinement_children,
+    _two_adic_represents_zp,
     LocalReason,
-    e_max_level,
     local_exceptions,
     locally_represented,
     mgonal_represents_zp,
@@ -26,38 +25,43 @@ from mgonal.local import (
 )
 from mgonal.represent import represents
 
+import refinement_walk
 from oracles import (
+    congruence_depth,
     congruence_solvable_quad,
     mgonal_congruence_depth,
     mgonal_congruence_solvable,
     subset_sum_reachable_mod,
 )
+from refinement_walk import GRID_BUDGET, refinement_children, walk_represents_zp
 
 
 class TestQuadKernel:
     def test_two_squares_miss_three_dyadically(self):
-        assert quad_diag_represents_zp((1, 1), 3, 2) == (False, None)
+        assert quad_diag_represents_zp((1, 1), 3, 2) is False
 
     def test_rank_three_odd_primes_universal(self):
         for t in range(0, 501, 7):
             for p in (3, 5, 7, 11, 13):
-                ok, _ = quad_diag_represents_zp((1, 1, 1), t, p)
-                assert ok, (t, p)
+                assert quad_diag_represents_zp((1, 1, 1), t, p), (t, p)
 
     def test_single_square_four(self):
-        ok, cert = quad_diag_represents_zp((1,), 4, 2)
-        assert ok and cert is not None
+        assert quad_diag_represents_zp((1,), 4, 2) is True
 
     def test_zero_target(self):
-        assert quad_diag_represents_zp((2, 3), 0, 5) == (True, (0, 0))
+        assert quad_diag_represents_zp((2, 3), 0, 5) is True
+        assert quad_diag_represents_zp((2, 3), -1, 5) is False
 
     def test_certificate_solves_congruence(self):
+        # the reference walk's certificates solve the congruence, and its
+        # verdicts are the kernel's
         rng = random.Random(2)
         for _ in range(200):
             coeffs = tuple(sorted(rng.randint(1, 6) for _ in range(rng.randint(1, 4))))
             t = rng.randint(1, 200)
             p = rng.choice([2, 3, 5])
-            ok, cert = quad_diag_represents_zp(coeffs, t, p)
+            ok, cert = walk_represents_zp(coeffs, t, p)
+            assert ok == quad_diag_represents_zp(coeffs, t, p), (coeffs, t, p)
             if ok and cert is not None:
                 val = sum(a * x * x for a, x in zip(coeffs, cert)) - t
                 assert val % p == 0
@@ -68,9 +72,8 @@ class TestQuadKernel:
             coeffs = tuple(sorted(rng.randint(1, 6) for _ in range(rng.randint(1, 4))))
             t = rng.randint(1, 200)
             p = rng.choice([2, 3, 5])
-            want = congruence_solvable_quad(coeffs, t, p, e_max_level(coeffs, t, p))
-            got, _ = quad_diag_represents_zp(coeffs, t, p)
-            assert got == want, (coeffs, t, p)
+            want = congruence_solvable_quad(coeffs, t, p, congruence_depth(coeffs, t, p))
+            assert quad_diag_represents_zp(coeffs, t, p) == want, (coeffs, t, p)
 
     def test_oracle_equivalence_larger_primes(self):
         rng = random.Random(123)
@@ -78,25 +81,24 @@ class TestQuadKernel:
             coeffs = tuple(sorted(rng.randint(1, 14) for _ in range(rng.randint(1, 4))))
             t = rng.randint(1, 400)
             p = rng.choice([7, 11, 13])
-            want = congruence_solvable_quad(coeffs, t, p, e_max_level(coeffs, t, p))
-            got, _ = quad_diag_represents_zp(coeffs, t, p)
-            assert got == want, (coeffs, t, p)
+            want = congruence_solvable_quad(coeffs, t, p, congruence_depth(coeffs, t, p))
+            assert quad_diag_represents_zp(coeffs, t, p) == want, (coeffs, t, p)
 
     def test_stabilization_between_witness_and_e_max(self):
         # once solvable with a liftable class, mod-p^e solvability holds at
         # every deeper level up to e_max; once false, it fails at e_max
         cases = [((1, 1), 3, 2), ((1, 1), 112, 2), ((1, 2, 3), 35, 3), ((1, 1, 1, 4), 128, 2)]
         for coeffs, t, p in cases:
-            e_max = e_max_level(coeffs, t, p)
-            got, _ = quad_diag_represents_zp(coeffs, t, p)
+            e_max = congruence_depth(coeffs, t, p)
+            got = quad_diag_represents_zp(coeffs, t, p)
             answers = [congruence_solvable_quad(coeffs, t, p, e) for e in range(1, e_max + 1)]
             # monotone nonincreasing and ends at the kernel verdict
             assert all(a >= b for a, b in zip(answers, answers[1:]))
             assert answers[-1] == got
 
     def test_huge_prime_with_mixed_factor_decided_without_certificate(self):
-        # grid 2053^2 exceeds the class budget and a coefficient is divisible
-        # by p: the Jordan recursion decides, with no certificate.  Each True
+        # grid 2053^2 is past any residue walk and a coefficient is divisible
+        # by p: the Jordan recursion decides.  Each True
         # has an integer solution; the first three False come down to x^2 = 2
         # or 5 mod 2053, non-residues since 2053 = 5 mod 8 and 2053 = 3 mod 5,
         # and x^2 = 2*2053 mod 2053^2 has no solution at all
@@ -112,28 +114,25 @@ class TestQuadKernel:
             ((1, q * q), 2 * q * q, True, (q, 1)),
             ((1, q * q), 2 * q, False, None),
         ]:
-            assert q ** len(coeffs) > local.GRID_BUDGET
-            assert quad_diag_represents_zp(coeffs, t, q) == (want, None), (coeffs, t)
+            assert quad_diag_represents_zp(coeffs, t, q) is want, (coeffs, t)
             if solution:
                 assert sum(a * x * x for a, x in zip(coeffs, solution)) == t
-        with pytest.raises(ResourceLimitError):  # the budget still binds at p = 2
-            quad_diag_represents_zp((1,) * 23, 7, 2)
+        # 2^23 residue classes at p = 2 are decided too: four odd coefficients
+        # represent every 2-adic integer, and even ones miss every odd target
+        assert quad_diag_represents_zp((1,) * 23, 7, 2) is True
+        assert quad_diag_represents_zp((2,) * 23, 7, 2) is False
 
     def test_huge_prime_unit_fast_path(self):
         # all-unit coefficients at a grid-busting prime: the Jordan recursion decides
-        ok, _ = quad_diag_represents_zp((1, 1), 2053, 2053)
-        assert ok  # 2053 = 1 mod 4, so x^2 + y^2 is isotropic at 2053
-        ok, _ = quad_diag_represents_zp((1, 1), 2063, 2063)
-        assert not ok  # 2063 = 3 mod 4: anisotropic, odd valuation unreachable
-        ok, _ = quad_diag_represents_zp((1, 1), 2063 * 2063 * 5, 2063)
-        assert ok  # even valuation, unit part hit mod p
-
+        assert quad_diag_represents_zp((1, 1), 2053, 2053)  # 2053 = 1 mod 4: x^2 + y^2 isotropic
+        assert not quad_diag_represents_zp((1, 1), 2063, 2063)  # 3 mod 4: odd valuation unreachable
+        assert quad_diag_represents_zp((1, 1), 2063 * 2063 * 5, 2063)  # even valuation, unit hit mod p
 
     def test_targets_past_int64(self):
         # over Z_2, three squares miss exactly the targets 4^a (8b + 7)
         for t in (2**63 + 1, 10**26, 2**67, 4**40 * 3, 2**64 - 1, 4**40 * 7, 4**45 * 15):
             u = t >> ((t & -t).bit_length() - 1) // 2 * 2
-            assert quad_diag_represents_zp((1, 1, 1), t, 2)[0] == (u % 8 != 7), t
+            assert quad_diag_represents_zp((1, 1, 1), t, 2) == (u % 8 != 7), t
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -150,17 +149,31 @@ class TestQuadKernel:
         )
         j = data.draw(st.integers(0, 6))
         t = data.draw(st.one_of(st.integers(1, 500), st.integers(1 << 63, 1 << 80))) * p**j
-        assert p ** len(coeffs) <= local.GRID_BUDGET  # so the kernel walks
+        assert p ** len(coeffs) <= GRID_BUDGET  # so the walk decides
         try:
-            walked, _ = quad_diag_represents_zp(coeffs, t, p, node_budget=20_000)
+            walked, _ = walk_represents_zp(coeffs, t, p, node_budget=20_000)
         except ResourceLimitError:
             reject()
         assert _odd_represents_zp(coeffs, t, p) == walked
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_two_adic_recursion_matches_refinement(self, data):
+        # rank 1-6, coefficients of every unit class mod 8 carrying 2^0..2^5,
+        # targets of every unit class carrying 2^0..2^8 and sizes past 2^63,
+        # so the recursion halves through several levels
+        coeffs = [
+            data.draw(st.integers(0, 5).map(lambda k: 2 * k + 1)) * 2 ** data.draw(st.integers(0, 5))
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+        unit = data.draw(st.one_of(st.integers(0, 250), st.integers(1 << 62, 1 << 80))) * 2 + 1
+        t = unit * 2 ** data.draw(st.integers(0, 8))
+        assert _two_adic_represents_zp(coeffs, t) == walk_represents_zp(coeffs, t, 2)[0]
+
 
 def eager_children(coeffs, xs, t, p, pe, mod):
     """The refinement children as one list, decoded digit by digit: the
-    kernel's enumeration before it became lazy, kept as its reference."""
+    walk's enumeration before it became lazy, kept as its reference."""
     n = len(coeffs)
     if (pe * p) ** 2 * sum(coeffs) < (1 << 62):
         digits = np.arange(p, dtype=np.int64)
@@ -199,7 +212,7 @@ class TestLazyRefinement:
         pe = p**e
         xs = tuple(data.draw(st.integers(0, pe - 1)) for _ in coeffs)
         t = data.draw(st.integers(1, 1 << 90))
-        got = list(_refinement_children(coeffs, xs, t, p, pe, pe * p))
+        got = list(refinement_children(coeffs, xs, t, p, pe, pe * p))
         assert got == eager_children(coeffs, xs, t, p, pe, pe * p)
 
     @settings(max_examples=150, deadline=None)
@@ -212,15 +225,18 @@ class TestLazyRefinement:
     def test_search_same_verdict_and_certificate_as_eager(self, coeffs, p, t, j):
         # t * p^j walks deeper; j = 12 at p = 7 reaches the big-int children
         t *= p**j
-        got = quad_diag_represents_zp(coeffs, t, p)
-        with mock.patch.object(local, "_refinement_children", eager_children):
-            assert got == quad_diag_represents_zp(coeffs, t, p)
+        got = walk_represents_zp(coeffs, t, p)
+        with mock.patch.object(refinement_walk, "refinement_children", eager_children):
+            assert got == walk_represents_zp(coeffs, t, p)
         if j <= 2:
-            assert got[0] == congruence_solvable_quad(coeffs, t, p, e_max_level(coeffs, t, p))
+            assert got[0] == congruence_solvable_quad(coeffs, t, p, congruence_depth(coeffs, t, p))
 
 
-def _kernel_verdict(coeffs, t, p):
-    return quad_diag_represents_zp(coeffs, t, p)[0]
+def _raw_verdict(coeffs, t, p):
+    """The recursions on t itself, past the memo and the square classes."""
+    if t <= 0:
+        return t == 0
+    return _two_adic_represents_zp(coeffs, t) if p == 2 else _odd_represents_zp(coeffs, t, p)
 
 
 class TestClassMemo:
@@ -233,10 +249,10 @@ class TestClassMemo:
     )
     def test_class_verdict_equals_kernel_on_the_raw_target(self, coeffs, p, t, j):
         # targets of one square class share a memo entry; each must get the
-        # verdict the kernel gives its own raw value, also past 2^63 (t <= 0
+        # verdict the recursion gives its own raw value, also past 2^63 (t <= 0
         # never reaches the memo)
         t *= p**j
-        assert local._represents_zp(coeffs, t, p) == _kernel_verdict(coeffs, t, p)
+        assert local._represents_zp(coeffs, t, p) == _raw_verdict(coeffs, t, p)
 
     @pytest.mark.parametrize(
         "m, coeffs, ns",
@@ -252,7 +268,7 @@ class TestClassMemo:
     def test_reports_same_with_memo_bypassed(self, m, coeffs, ns):
         f = MgonalForm.make(m, coeffs)
         got = [locally_represented(f, n).to_json_dict() for n in ns]
-        with mock.patch.object(local, "_represents_zp", _kernel_verdict):
+        with mock.patch.object(local, "_represents_zp", _raw_verdict):
             assert got == [locally_represented(f, n).to_json_dict() for n in ns]
 
 

@@ -72,6 +72,20 @@ def test_square_class_helpers_stay_in_local():
     assert private_uses("local.py", {"_vp", "_canonical_target"}) == []
 
 
+def test_local_decides_without_a_grid_walk():
+    # every Z_p verdict comes from one recursion per prime: a residue-grid
+    # walk (numpy arrays, itertools.product over digit vectors) must not
+    # come back as a second path
+    tree = ast.parse((Path(mgonal.__file__).parent / "local.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert imported & {"numpy", "itertools"} == set()
+
+
 def test_bit_vector_layout_stays_in_represent():
     # the set's layout, the MGRS body, is represent.py's business: other
     # modules ask a RepresentedSet for values (or compare its words), not
