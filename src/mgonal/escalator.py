@@ -5,8 +5,16 @@ escalator tree grows a child per coefficient choice between the last
 coefficient and the truant.  The tree root is the empty form with truant 1,
 so depth equals rank.  Whenever the coefficients sum below m-1 every value
 between that sum and m-1 is out of reach (the smallest m-gonal number past 1
-is m), so the truant is just sum+1; the shortcut is cross-checked against the
-sieve every time it is used.
+is m), so the truant is at most sum+1: the sieve checks it on a first window
+that holds sum+1, and the truant is sum+1 unless the coefficients leave a gap
+below it (never for tree nodes, which are gapless chains).
+
+Truants are searched in growing windows, and the tree walk shares its sieves
+along the current root-to-node path (`_TreePath`): a node's accumulator at a
+window is one sieve step on its parent's at that window, and a child's search
+starts where its parent's stopped, since adding a coefficient only adds
+values.  A tree costs about one sieve step per node and window, and the
+windows follow the truants, not the bound.
 
 Leaves are only ever "universal up to the sieve bound" - nothing here proves
 universality, and the gamma estimate is reported as a lower bound.
@@ -21,8 +29,17 @@ from functools import partial
 
 from .errors import ResourceLimitError
 from .forms import Domain, MgonalForm
-from .local import _prime_factors, _represents_zp, _unit_classes, locally_represented
-from .represent import represented_set, truant_up_to
+from .local import _local_check, _prime_factors, _represents_zp, _unit_classes
+from .represent import (
+    _Acc,
+    _acc_first_missing,
+    _acc_truncated,
+    _check_bound,
+    _first_acc,
+    _sieve_step,
+    _truant_window,
+    represented_set,
+)
 
 __all__ = [
     "EscalatorNode",
@@ -69,31 +86,108 @@ class EscalatorNode:
         }
 
 
+class _PathNode:
+    """One form of a `_TreePath`: its last coefficient and coefficient sum,
+    the widest window it has been sieved to with that accumulator, and the
+    window its truant search stopped at (before the search, where it starts)."""
+
+    __slots__ = ("coeff", "total", "searched", "window", "acc")
+
+    def __init__(self, coeff: int, total: int, searched: int) -> None:
+        self.coeff = coeff
+        self.total = total
+        self.searched = searched
+        self.window = 0
+        self.acc: _Acc = 0
+
+
+class _TreePath:
+    """The forms along one root-to-node path of an escalator tree, and their sieves.
+
+    The accumulator of a node at a window w is its widest one cut to w when
+    that holds w, else one `_sieve_step` on its parent's at w, so siblings
+    share their parent's sieves and no (node, window) is stepped twice.
+    Only the current path's accumulators are alive, one per node, each at
+    most (bound + 64) / 8 bytes; a step adds its output, one temporary and
+    at most one cut prefix, so a walk to depth d holds at most d + 3 of
+    them: 128 MiB for depth 5 at `DEFAULT_BOUND_CAP`.
+    """
+
+    def __init__(self, m: int, bound: int) -> None:
+        _check_bound(bound)
+        self.m = m
+        self.bound = bound
+        self.nodes: list[_PathNode] = []
+
+    def push(self, c: int) -> None:
+        if self.nodes:
+            parent = self.nodes[-1]
+            self.nodes.append(_PathNode(c, parent.total + c, parent.searched))
+        else:
+            self.nodes.append(_PathNode(c, c, _truant_window(1, self.bound)))
+
+    def pop(self) -> None:
+        self.nodes.pop()
+
+    def _acc(self, w: int) -> _Acc:
+        """The accumulator of the path's last form at window w."""
+        nodes = self.nodes
+        d = len(nodes) - 1
+        while d >= 0 and nodes[d].window < w:
+            d -= 1
+        if d >= 0:
+            acc = nodes[d].acc if nodes[d].window == w else _acc_truncated(nodes[d].acc, nodes[d].window, w)
+        for k in range(d + 1, len(nodes)):
+            node = nodes[k]
+            if k:
+                acc = _sieve_step(acc, self.m, node.coeff, Domain.NONNEG, w)
+            else:
+                acc = _first_acc(self.m, node.coeff, Domain.NONNEG, w)
+            node.window = w
+            node.acc = acc
+        return acc
+
+    def truant(self) -> int | None:
+        """Truant of the path's last form up to the bound, as `node_truant` defines it."""
+        node = self.nodes[-1]
+        s = node.total
+        shortcut = s < self.m - 1
+        if shortcut:
+            if self.bound < s + 1:
+                raise ValueError(f"bound {self.bound} below shortcut range {s + 1}")
+            w = _truant_window(s + 1, self.bound)
+        else:
+            w = node.searched
+        while True:
+            t = _acc_first_missing(self._acc(w), w)
+            if t is not None or w == self.bound:
+                break
+            w = _truant_window(w + 1, self.bound)
+        node.searched = w
+        if shortcut and t != s + 1:
+            logger.warning(
+                "truant shortcut %d disagrees with sieve %s for %s; using the sieve",
+                s + 1,
+                t,
+                MgonalForm.make(self.m, [n.coeff for n in self.nodes]).label(),
+            )
+        return t
+
+
 def node_truant(form: MgonalForm, bound: int) -> int | None:
     """Truant up to `bound`: the sum+1 shortcut when it applies, else the sieve.
 
-    The shortcut is verified against the sieve on every use; a mismatch means
-    the coefficients do not form a gapless chain (possible for hand-built
-    forms, never for escalator nodes) and the sieve answer wins.
+    The shortcut is checked by the sieve on every use, on a first window
+    holding sum+1; a mismatch means the coefficients do not form a gapless
+    chain (possible for hand-built forms, never for escalator nodes): it is
+    logged and the sieve answer wins.  A bound below sum+1 where the shortcut
+    applies is a ValueError, and one past `DEFAULT_BOUND_CAP` a
+    ResourceLimitError.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    s = form.coeff_sum
-    if s < form.m - 1:
-        if bound < s + 1:
-            raise ValueError(f"bound {bound} below shortcut range {s + 1}")
-        shortcut = s + 1
-        brute = truant_up_to(form, s + 1, Domain.NONNEG)
-        if brute != shortcut:
-            logger.warning(
-                "truant shortcut %d disagrees with sieve %s for %s; using the sieve",
-                shortcut,
-                brute,
-                form.label(),
-            )
-            return truant_up_to(form, bound, Domain.NONNEG)
-        return shortcut
-    return truant_up_to(form, bound, Domain.NONNEG)
+    path = _TreePath(form.m, bound)
+    for c in form.coeffs:
+        path.push(c)
+    return path.truant()
 
 
 def build_tree(
@@ -106,34 +200,43 @@ def build_tree(
 
     Children of a node with truant t append one coefficient c with
     last_coeff <= c <= t, in ascending order; a node missing nothing up to
-    the bound becomes a leaf flagged universal_up_to=bound.
+    the bound becomes a leaf flagged universal_up_to=bound.  The walk is
+    depth-first over one `_TreePath`.
     """
     if m < 3:
         raise ValueError(f"polygon order must be >= 3, got {m}")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    count = 0
-
-    def grow(coeffs: tuple[int, ...]) -> EscalatorNode:
-        nonlocal count
-        count += 1
-        if count > node_cap:
+    path = _TreePath(m, bound)
+    root = EscalatorNode(form=None, truant=1, universal_up_to=None)
+    nodes = 1
+    # (node, its children's last coefficients still to grow); every node
+    # of the stack but the root is on the path
+    stack = [(root, iter((1,)))]
+    while stack:
+        parent, choices = stack[-1]
+        c = next(choices, None)
+        if c is None:
+            stack.pop()
+            if stack:
+                path.pop()
+            continue
+        if nodes >= node_cap:
             raise ResourceLimitError(f"escalator tree exceeded {node_cap} nodes")
-        if not coeffs:
-            node = EscalatorNode(form=None, truant=1, universal_up_to=None)
-            node.children.append(grow((1,)))
-            return node
-        form = MgonalForm(m, coeffs)
-        t = node_truant(form, bound)
-        if t is None:
-            return EscalatorNode(form=form, truant=None, universal_up_to=bound)
-        node = EscalatorNode(form=form, truant=t, universal_up_to=None)
-        if len(coeffs) < max_depth:
-            for c in range(coeffs[-1], t + 1):
-                node.children.append(grow(coeffs + (c,)))
-        return node
-
-    return grow(())
+        nodes += 1
+        path.push(c)
+        t = path.truant()
+        node = EscalatorNode(
+            form=MgonalForm(m, parent.coeffs + (c,)),
+            truant=t,
+            universal_up_to=bound if t is None else None,
+        )
+        parent.children.append(node)
+        if t is not None and len(path.nodes) < max_depth:
+            stack.append((node, iter(range(c, t + 1))))
+        else:
+            path.pop()
+    return root
 
 
 def tree_nodes(root: EscalatorNode) -> list[EscalatorNode]:
@@ -194,7 +297,8 @@ def gamma_estimate(m: int, bound: int, max_depth: int) -> GammaEstimate:
 
     Scans every non-leaf node of the depth-capped tree, plus the all-ones
     chain up to rank m-2 (always part of the full tree; its rank-k member has
-    truant k+1 by the shortcut, so the chain alone witnesses m-1).
+    truant k+1 by the shortcut, so the chain alone witnesses m-1), walked as
+    one path: a sieve step per rank.
     """
     root = build_tree(m, max_depth, bound)
     best = 1
@@ -203,12 +307,13 @@ def gamma_estimate(m: int, bound: int, max_depth: int) -> GammaEstimate:
         if node.form is not None and node.truant is not None and node.truant > best:
             best = node.truant
             best_form = node.form
+    chain = _TreePath(m, bound)
     for rank in range(1, m - 1):
-        chain = MgonalForm(m, (1,) * rank)
-        t = node_truant(chain, bound)
+        chain.push(1)
+        t = chain.truant()
         if t is not None and t > best:
             best = t
-            best_form = chain
+            best_form = MgonalForm(m, (1,) * rank)
     return GammaEstimate(gamma_lower=best, largest_truant_node=best_form)
 
 
@@ -231,7 +336,8 @@ class ExceptionReport:
 def exceptions(form: MgonalForm, bound: int) -> ExceptionReport:
     """Audit almost-regularity: sieve the global misses, keep the locally hit ones."""
     rset = represented_set(form, bound, Domain.NONNEG)
-    ex = tuple(n for n in rset.missing(1) if locally_represented(form, n).overall)
+    check = _local_check(form)
+    ex = tuple(n for n in rset.missing(1) if check.represented(n))
     return ExceptionReport(form=form, bound=bound, exceptions=ex)
 
 

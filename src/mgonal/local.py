@@ -14,7 +14,9 @@ so `_represents_zp` memoizes verdicts per (coefficients, class, p), and every
 verdict below goes through it.  `mgonal_represents_zp` reduces the m-gonal
 equation to the quadratic one through a four-way (p, m) case split;
 `locally_represented` conjoins the verdicts over every prime that can
-obstruct.
+obstruct.  The per-form part of both (the relevant primes and each one's
+case split as an affine map from n to the quadratic target) is worked out
+once per form, in `_LocalCheck`, and shared with the exceptions audit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ResourceLimitError
 from .forms import MgonalForm
@@ -94,13 +96,15 @@ def _canonical_target(t: int, p: int) -> int:
     class modulo squares matter: quadratic character for odd p, the residue
     mod 8 for p = 2.
     """
+    if p == 2 and t > 0:
+        low = t & -t  # 2^j
+        return low * (t // low % 8)
     j = _vp(t, p)
     u = t // p**j
-    if p == 2:
-        return 2**j * (u % 8)
     return p**j * _unit_classes(p)[not _is_square_mod(u, p)]
 
 
+@lru_cache(maxsize=1 << 8)
 def _unit_classes(p: int) -> tuple[int, ...]:
     """Least representatives of the unit square classes of Z_p: the odd
     residues mod 8 for p = 2; 1 and the least non-residue for odd p."""
@@ -251,6 +255,75 @@ def _case_reason(m: int, p: int) -> LocalReason:
     return LocalReason.QUAD_REDUCTION_ODD
 
 
+# (reason, p^a, scale, shift): one prime's case split as an affine target map
+_PrimeMap = tuple[LocalReason, int, int, int]
+
+
+class _LocalCheck:
+    """The per-form part of the local question, worked out once per form.
+
+    It holds the reduced coefficients (the form's over their gcd g) and, for
+    each prime of `relevant_primes`, the case split of
+    `mgonal_represents_zp` as an affine map: with a = ord_p(g), the form
+    takes n over Z_p iff p^a divides n and, under a quadratic reduction, the
+    reduced diagonal form takes scale * (n / p^a) + shift (scale 0 marks the
+    universal cases).  Forms of rank <= 2 add the primes of each target.
+    """
+
+    def __init__(self, form: MgonalForm) -> None:
+        self.form = form
+        g = form.coeff_gcd
+        self.coeffs = tuple(c // g for c in form.coeffs)
+        self.low_rank = form.rank <= 2
+
+    @cached_property
+    def maps(self) -> dict[int, _PrimeMap]:
+        """The relevant primes' maps (factoring the form, so only when asked)."""
+        return {p: self.prime_map(p) for p in relevant_primes(self.form)}
+
+    def prime_map(self, p: int) -> _PrimeMap:
+        m = self.form.m
+        g = self.form.coeff_gcd
+        reason = _case_reason(m, p)
+        pa = p ** _vp(g, p)
+        unit = g // pa  # moves into the target as a square factor
+        s = sum(self.coeffs)
+        if reason is LocalReason.QUAD_REDUCTION_ODD:
+            return reason, pa, 8 * (m - 2) * unit, s * unit * unit * (m - 4) ** 2
+        if reason is LocalReason.QUAD_REDUCTION_2:
+            return reason, pa, (m - 2) // 2 * unit, s * unit * unit * ((m - 4) // 4) ** 2
+        return reason, pa, 0, 0
+
+    def holds(self, n: int, p: int, prime_map: _PrimeMap) -> bool:
+        _, pa, scale, shift = prime_map
+        if n % pa:
+            return False
+        return not scale or _represents_zp(self.coeffs, scale * (n // pa) + shift, p)
+
+    def profile(self, n: int) -> LocalProfile:
+        primes = list(self.maps)
+        if self.low_rank and n > 0:
+            primes = sorted(set(primes) | set(_extra_primes_low_rank(self.form, n, set(primes))))
+        verdicts = {}
+        for p in primes:
+            prime_map = self.maps[p] if p in self.maps else self.prime_map(p)
+            verdicts[p] = LocalVerdict(p, self.holds(n, p, prime_map), prime_map[0])
+        return LocalProfile(self.form, n, verdicts, all(v.represented for v in verdicts.values()))
+
+    def represented(self, n: int) -> bool:
+        """`profile(n).overall`, stopping at the first prime that fails."""
+        if self.low_rank:
+            return self.profile(n).overall
+        for p, prime_map in self.maps.items():
+            if not self.holds(n, p, prime_map):
+                return False
+        return True
+
+
+# One checker per form, shared by every local question on it.
+_local_check = lru_cache(maxsize=1 << 10)(_LocalCheck)
+
+
 def mgonal_represents_zp(form: MgonalForm, n: int, p: int) -> LocalVerdict:
     """Does the form take the value n over Z_p?
 
@@ -262,24 +335,9 @@ def mgonal_represents_zp(form: MgonalForm, n: int, p: int) -> LocalVerdict:
     """
     if n < 0:
         raise ValueError("target must be nonnegative")
-    m = form.m
-    reason = _case_reason(m, p)
-    g = form.coeff_gcd
-    a = _vp(g, p)
-    if n % p**a:
-        return LocalVerdict(p, False, reason)
-    coeffs = tuple(c // g for c in form.coeffs)
-    unit = g // p**a
-    n_red = n // p**a
-    s = sum(coeffs)
-
-    if reason in (LocalReason.UNIVERSAL_CASE_1, LocalReason.UNIVERSAL_CASE_2):
-        return LocalVerdict(p, True, reason)
-    if reason is LocalReason.QUAD_REDUCTION_ODD:
-        target = 8 * (m - 2) * n_red * unit + s * unit * unit * (m - 4) ** 2
-    else:  # p = 2, m divisible by 4
-        target = ((m - 2) // 2) * n_red * unit + s * unit * unit * ((m - 4) // 4) ** 2
-    return LocalVerdict(p, _represents_zp(coeffs, target, p), reason)
+    check = _local_check(form)
+    prime_map = check.prime_map(p)
+    return LocalVerdict(p, check.holds(n, p, prime_map), prime_map[0])
 
 
 def relevant_primes(form: MgonalForm) -> list[int]:
@@ -287,7 +345,7 @@ def relevant_primes(form: MgonalForm) -> list[int]:
 
     For any other prime the reduced diagonal form has all-unit coefficients and
     enough rank to hit every target, except for forms of rank <= 2 whose
-    per-target divisors matter too (handled in `locally_represented`).
+    per-target divisors matter too (added by `_LocalCheck.profile`).
     """
     return _prime_factors(2 * (form.m - 2) * math.prod(form.coeffs))
 
@@ -315,15 +373,12 @@ def locally_represented(form: MgonalForm, n: int) -> LocalProfile:
     """
     if n < 0:
         raise ValueError("target must be nonnegative")
-    primes = relevant_primes(form)
-    if form.rank <= 2 and n > 0:
-        primes = sorted(set(primes) | set(_extra_primes_low_rank(form, n, set(primes))))
-    verdicts = {p: mgonal_represents_zp(form, n, p) for p in primes}
-    return LocalProfile(form, n, verdicts, all(v.represented for v in verdicts.values()))
+    return _local_check(form).profile(n)
 
 
 def local_exceptions(form: MgonalForm, bound: int) -> list[int]:
     """Ascending list of n <= bound that the form misses locally."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    return [n for n in range(1, bound + 1) if not locally_represented(form, n).overall]
+    check = _local_check(form)
+    return [n for n in range(1, bound + 1) if not check.represented(n)]

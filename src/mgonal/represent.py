@@ -95,14 +95,7 @@ class RepresentedSet:
 
     def first_missing(self, start: int = 1) -> int | None:
         """Smallest non-represented integer in [start, bound], else None."""
-        n = max(start, 0)
-        while n <= self.bound:
-            byte = self.words[n >> 3] >> (n & 7)  # bits n, n + 1, ... of n's byte
-            if byte != 0xFF >> (n & 7):
-                n += (~byte & (byte + 1)).bit_length() - 1
-                return n if n <= self.bound else None  # the bits past bound are zero
-            n = 8 * _FULL_BYTES.match(self.words, (n >> 3) + 1).end()
-        return None
+        return _first_missing(self.words, self.bound, start)
 
     def missing(self, start: int = 1) -> list[int]:
         """All non-represented integers in [start, bound], ascending."""
@@ -157,6 +150,18 @@ class RepresentedSet:
         except ValueError as exc:
             raise CacheFormatError(f"cache header names no valid form: {exc}") from exc
         return cls(form, domain, bound, blob[off:])
+
+
+def _first_missing(words: bytes, bound: int, start: int) -> int | None:
+    """Smallest n in [start, bound] whose bit the MGRS body words lacks, else None."""
+    n = max(start, 0)
+    while n <= bound:
+        byte = words[n >> 3] >> (n & 7)  # bits n, n + 1, ... of n's byte
+        if byte != 0xFF >> (n & 7):
+            n += (~byte & (byte + 1)).bit_length() - 1
+            return n if n <= bound else None  # the bits past bound are zero
+        n = 8 * _FULL_BYTES.match(words, (n >> 3) + 1).end()
+    return None
 
 
 @dataclass(frozen=True)
@@ -363,14 +368,17 @@ def _step_values(m: int, top: int, domain: Domain) -> np.ndarray:
     return table[: _value_count(m, top, domain)]
 
 
-def _sieve_accs(m: int, coeffs: Sequence[int], domain: Domain, bound: int) -> Iterator[_Acc]:
-    """Accumulators of the forms coeffs[:1], coeffs[:2], ..., up to bound."""
-    a = coeffs[0]
+def _first_acc(m: int, a: int, domain: Domain, bound: int) -> _Acc:
+    """The accumulator of the one-coefficient form <a>_m up to bound."""
     values = _step_values(m, bound // a, domain)
     if bound < _WORD_SIEVE_MIN_BOUND:
-        acc = _shift_or_int(1, a, values.tolist(), bound)
-    else:  # the bits a*P_m(v) of the first form, scattered into words
-        acc = _words_with_bits(a * values, (bound + 64) // 64)
+        return _shift_or_int(1, a, values.tolist(), bound)
+    return _words_with_bits(a * values, (bound + 64) // 64)  # the bits a*P_m(v), scattered
+
+
+def _sieve_accs(m: int, coeffs: Sequence[int], domain: Domain, bound: int) -> Iterator[_Acc]:
+    """Accumulators of the forms coeffs[:1], coeffs[:2], ..., up to bound."""
+    acc = _first_acc(m, coeffs[0], domain, bound)
     yield acc
     for a in coeffs[1:]:
         acc = _sieve_step(acc, m, a, domain, bound)
@@ -384,12 +392,37 @@ def _acc_words(acc: _Acc, bound: int) -> bytes:
     return acc.tobytes()
 
 
+def _acc_first_missing(acc: _Acc, bound: int) -> int | None:
+    """Smallest positive integer <= bound whose bit the accumulator lacks, else None."""
+    if bound < _WORD_SIEVE_MIN_BOUND:  # bit 0 (the empty sum) is set: the lowest clear bit
+        t = (~acc & (acc + 1)).bit_length() - 1
+        return t if t <= bound else None
+    return _first_missing(memoryview(acc).cast("B"), bound, 1)
+
+
+def _acc_truncated(acc: _Acc, bound: int, to: int) -> _Acc:
+    """The accumulator up to to <= bound: a prefix of the same bits, in to's form."""
+    if to >= _WORD_SIEVE_MIN_BOUND:
+        return _mask_tail(acc[: (to + 64) // 64].copy(), to)
+    if bound >= _WORD_SIEVE_MIN_BOUND:
+        acc = int.from_bytes(acc[: (to + 64) // 64].tobytes(), "little")
+    return acc & ((1 << (to + 1)) - 1)
+
+
 def _sieve_step(acc: _Acc, m: int, a: int, domain: Domain, bound: int) -> _Acc:
     """One sumset step: OR over values v = P_m(x) of acc << a*v, masked to [0, bound]."""
     values = _step_values(m, bound // a, domain)
     if bound < _WORD_SIEVE_MIN_BOUND:
         return _shift_or_int(acc, a, values.tolist(), bound)
     return _shift_or_words(acc, a, values, bound)
+
+
+def _check_bound(bound: int, cap: int = DEFAULT_BOUND_CAP) -> None:
+    """Refuse a sieve bound below 1 or past the cap, before anything is sieved."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    if bound > cap:
+        raise ResourceLimitError(f"bound {bound} exceeds cap {cap}")
 
 
 def represented_set(
@@ -399,18 +432,41 @@ def represented_set(
     bound_cap: int = DEFAULT_BOUND_CAP,
 ) -> RepresentedSet:
     """Sieve all represented values <= bound by iterated sumset shift-or."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    if bound > bound_cap:
-        raise ResourceLimitError(f"bound {bound} exceeds cap {bound_cap}")
+    _check_bound(bound, bound_cap)
     for acc in _sieve_accs(form.m, form.coeffs, domain, bound):
         pass  # keep only the last accumulator alive
     return RepresentedSet(form, domain, bound, _acc_words(acc, bound))
 
 
+# A truant search sieves windows of 16, 64, 256, ... bits, capped at its
+# bound, and stops at the first that has a miss.  A narrower sieve is a
+# prefix of the same bits, so the answer is exact; the windows' sieves
+# together cost at most 4/3 of the last one's.
+_FIRST_TRUANT_WINDOW = 16
+
+
+def _truant_window(need: int, bound: int) -> int:
+    """The narrowest truant-search window that holds need, capped at bound."""
+    w = _FIRST_TRUANT_WINDOW
+    while w < need:
+        w *= 4
+    return min(w, bound)
+
+
 def truant_up_to(form: MgonalForm, bound: int, domain: Domain = Domain.NONNEG) -> int | None:
-    """Smallest positive integer <= bound the form does not represent, else None."""
-    return represented_set(form, bound, domain).first_missing(1)
+    """Smallest positive integer <= bound the form does not represent, else None.
+
+    The form is sieved in growing windows (`_truant_window`), so the cost
+    follows the truant, not the bound; a bound past `DEFAULT_BOUND_CAP` is
+    refused before any window is sieved.
+    """
+    _check_bound(bound)
+    w = _truant_window(1, bound)
+    while True:
+        t = represented_set(form, w, domain).first_missing(1)
+        if t is not None or w == bound:
+            return t
+        w = _truant_window(w + 1, bound)
 
 
 # --- witness search ---------------------------------------------------------

@@ -62,6 +62,15 @@ def test_resource_error_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("verb", ["tree", "gamma"])
+@pytest.mark.parametrize("m", ["5", "40"])  # at m = 40 every node of depth 3 is in the shortcut regime
+def test_tree_and_gamma_past_the_bound_cap_exit_3(capsys, verb, m):
+    assert main([verb, "--m", m, "--depth", "3", "--bound", str(1 << 30)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "resource limit" in captured.err
+
+
 def test_local_json(capsys):
     code, out = run_cli(
         capsys, "local", "--m", "4", "--coeffs", "1,1", "--n", "3", "--format", "json"

@@ -1,13 +1,16 @@
 import json
 import math
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mgonal import escalator
 from mgonal.errors import ResourceLimitError
 from mgonal.forms import Domain, MgonalForm
 from mgonal.local import _canonical_target, _prime_factors, _vp, locally_represented, quad_diag_represents_zp
-from mgonal.represent import represents, truant_up_to
+from mgonal.represent import _WORD_SIEVE_MIN_BOUND, DEFAULT_BOUND_CAP, represented_set, represents, truant_up_to
 from mgonal.escalator import (
     build_tree,
     exceptions,
@@ -118,6 +121,111 @@ def test_depth5_trees_stable_and_inside_t_d5():
         if reference is None:
             reference = coeffs
         assert coeffs == reference, m
+
+
+def reference_tree(m: int, max_depth: int, bound: int) -> dict:
+    """The escalator tree as JSON, every node sieved from scratch to the full
+    bound: the walk before truants were searched in windows along a shared
+    path (a shortcut node's truant is the sieve's, as `node_truant` gives it)."""
+
+    def grow(coeffs: tuple[int, ...]) -> dict:
+        t = represented_set(MgonalForm(m, coeffs), bound).first_missing(1)
+        node = {"coeffs": list(coeffs), "truant": t, "universal_up_to": bound if t is None else None, "children": []}
+        if t is not None and len(coeffs) < max_depth:
+            node["children"] = [grow(coeffs + (c,)) for c in range(coeffs[-1], t + 1)]
+        return node
+
+    return {"coeffs": [], "truant": 1, "universal_up_to": None, "children": [grow((1,))]}
+
+
+def reference_gamma(m: int, bound: int, max_depth: int) -> tuple[int, tuple[int, ...] | None]:
+    """(gamma_lower, coefficients of the largest-truant node) from `reference_tree`
+    and the all-ones chain, each member sieved to the full bound."""
+    best, best_coeffs = 1, None
+    stack = list(reversed(reference_tree(m, max_depth, bound)["children"]))
+    while stack:  # depth-first, children in ascending order
+        node = stack.pop()
+        if node["truant"] is not None and node["truant"] > best:
+            best, best_coeffs = node["truant"], tuple(node["coeffs"])
+        stack.extend(reversed(node["children"]))
+    for rank in range(1, m - 1):
+        t = represented_set(MgonalForm(m, (1,) * rank), bound).first_missing(1)
+        if t is not None and t > best:
+            best, best_coeffs = t, (1,) * rank
+    return best, best_coeffs
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(3, 20), st.integers(3, 5), st.integers(3000, 10**5))
+@example(5, 5, 10**5)  # hundreds of universal leaves
+@example(5, 4, 65536)  # a window edge
+@example(4, 5, 65537)
+@example(5, 4, _WORD_SIEVE_MIN_BOUND + 1)  # word accumulators, cut to narrower windows
+@example(20, 5, 3000)
+def test_tree_and_gamma_match_full_bound_sieves(m, depth, bound):
+    assert build_tree(m, depth, bound).to_json_dict() == reference_tree(m, depth, bound)
+    est = gamma_estimate(m, bound, depth)
+    assert (est.gamma_lower, est.largest_truant_node.coeffs) == reference_gamma(m, bound, depth)
+
+
+def test_tree_steps_follow_the_truants(monkeypatch):
+    # every sieve step of the walk, by (node, window): none past 4x the
+    # largest truant, none repeated
+    steps = Counter()
+    real = escalator._sieve_step
+
+    def counting(acc, m, a, domain, bound):
+        frame = sys._getframe(1).f_locals  # _TreePath._acc, stepping depth k
+        steps[tuple(node.coeff for node in frame["nodes"][: frame["k"] + 1]), bound] += 1
+        return real(acc, m, a, domain, bound)
+
+    monkeypatch.setattr(escalator, "_sieve_step", counting)
+    tree = build_tree(8, 4, 10**6)
+    largest = max(node.truant for node in tree_nodes(tree))
+    assert steps and max(w for _, w in steps) <= 4 * largest
+    assert max(steps.values()) == 1
+    # one step per node below rank 1 at its first window, a few more where
+    # a truant lies past it
+    assert sum(steps.values()) < 2 * len(tree_nodes(tree))
+
+
+def test_gamma_chain_walks_one_path(monkeypatch):
+    steps = []
+    real = escalator._sieve_step
+
+    def counting(acc, m, a, domain, bound):
+        steps.append(bound)
+        return real(acc, m, a, domain, bound)
+
+    monkeypatch.setattr(escalator, "_sieve_step", counting)
+    monkeypatch.setattr(escalator, "build_tree", lambda *args: escalator.EscalatorNode(None, 1, None))
+    assert gamma_estimate(200, 10**4, 3).gamma_lower == 199
+    # a step per rank, and the ranks below each window change re-stepped once
+    assert len(steps) <= 197 + 16 + 64
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_tree(40, 3, DEFAULT_BOUND_CAP + 1),  # every node in the shortcut regime
+    lambda: build_tree(5, 3, DEFAULT_BOUND_CAP + 1),
+    lambda: gamma_estimate(40, DEFAULT_BOUND_CAP + 1, 3),
+    lambda: node_truant(MgonalForm.make(40, [1, 1]), DEFAULT_BOUND_CAP + 1),
+])
+def test_bound_past_the_cap_sieves_nothing(monkeypatch, call):
+    def fail(*args):
+        raise AssertionError("sieved past the cap")
+
+    monkeypatch.setattr(escalator, "_sieve_step", fail)
+    monkeypatch.setattr(escalator, "_first_acc", fail)
+    with pytest.raises(ResourceLimitError):
+        call()
+
+
+def test_node_truant_bound_below_the_shortcut_range():
+    with pytest.raises(ValueError, match="shortcut range 3"):
+        node_truant(MgonalForm.make(10, [1, 1]), 2)
+    with pytest.raises(ValueError, match="shortcut range 3"):
+        build_tree(10, 3, 2)
+    assert node_truant(MgonalForm.make(10, [1, 1]), 3) == 3
 
 
 class TestTd5:

@@ -1,10 +1,11 @@
+import math
 import random
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from mgonal import local
 from mgonal.errors import ResourceLimitError
@@ -440,6 +441,84 @@ class TestLocallyRepresented:
                 f = MgonalForm.make(m, coeffs)
                 for n in rng.sample(range(1, 1001), 8):
                     assert locally_represented(f, n).overall, (m, coeffs, n)
+
+
+def per_call_profile(form: MgonalForm, n: int) -> tuple[dict[int, tuple[bool, LocalReason]], bool]:
+    """(verdicts by prime, overall) with everything worked out for this n alone:
+    the form's primes factored again and the case split redone at each prime,
+    the way `locally_represented` worked before its per-form checker."""
+    m, g = form.m, form.coeff_gcd
+    primes = set(_prime_factors(2 * (m - 2) * math.prod(form.coeffs)))
+    if form.rank <= 2 and n > 0 and n % g == 0:
+        target = 8 * (m - 2) * (n // g) + form.coeff_sum // g * (m - 4) ** 2
+        primes |= {q for q in _prime_factors(target) if q != 2}
+    reduced = tuple(c // g for c in form.coeffs)
+    s = sum(reduced)
+    verdicts = {}
+    for p in sorted(primes):
+        if p == 2:
+            reason = LocalReason.UNIVERSAL_CASE_2 if m % 4 else LocalReason.QUAD_REDUCTION_2
+        else:
+            reason = LocalReason.UNIVERSAL_CASE_1 if (m - 2) % p == 0 else LocalReason.QUAD_REDUCTION_ODD
+        pa = 1
+        while g % (pa * p) == 0:
+            pa *= p
+        unit, n_red = g // pa, n // pa
+        if n % pa:
+            ok = False
+        elif reason is LocalReason.QUAD_REDUCTION_ODD:
+            ok = quad_diag_represents_zp(reduced, 8 * (m - 2) * n_red * unit + s * unit * unit * (m - 4) ** 2, p)
+        elif reason is LocalReason.QUAD_REDUCTION_2:
+            ok = quad_diag_represents_zp(reduced, (m - 2) // 2 * n_red * unit + s * unit * unit * ((m - 4) // 4) ** 2, p)
+        else:
+            ok = True
+        verdicts[p] = (ok, reason)
+    return verdicts, all(ok for ok, _ in verdicts.values())
+
+
+@st.composite
+def local_cases(draw):
+    """A form of rank 1-6 (m often 0 mod 4, coefficients often sharing a
+    factor) and an n up to 10^4 or past 2^64, often a multiple of that factor."""
+    m = draw(st.one_of(st.integers(3, 40), st.integers(1, 12).map(lambda k: 4 * k)))
+    g = draw(st.sampled_from([1, 1, 2, 3, 4, 6, 9, 12, 25]))
+    coeffs = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    n = draw(st.one_of(st.integers(0, 10**4), st.integers(2**64, 2**72)))
+    if draw(st.booleans()):
+        n -= n % g
+    return MgonalForm.make(m, [g * c for c in coeffs]), n
+
+
+class TestFormCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(local_cases())
+    @example((MgonalForm.make(8, [1, 1, 1]), 7))
+    @example((MgonalForm.make(12, [4, 8]), 2**64 + 8))
+    @example((MgonalForm.make(5, [3, 3, 6]), 2**64 + 3))
+    def test_checker_matches_the_per_call_profile(self, case):
+        form, n = case
+        try:
+            want = per_call_profile(form, n)
+        except ResourceLimitError:  # a rank <= 2 target past trial division
+            with pytest.raises(ResourceLimitError):
+                locally_represented(form, n)
+            return
+        profile = locally_represented(form, n)
+        assert {p: (v.represented, v.reason) for p, v in profile.verdicts.items()} == want[0]
+        assert list(profile.verdicts) == sorted(want[0])
+        assert profile.overall == want[1] == local._local_check(form).represented(n)
+        for p, (ok, reason) in want[0].items():
+            assert mgonal_represents_zp(form, n, p) == local.LocalVerdict(p, ok, reason)
+
+    def test_one_checker_per_form(self, monkeypatch):
+        local._local_check.cache_clear()
+        factored = []
+        real = local.relevant_primes
+        monkeypatch.setattr(local, "relevant_primes", lambda form: factored.append(form) or real(form))
+        f = MgonalForm.make(8, [1, 1, 1])
+        got = [n for n in range(1, 2000) if not locally_represented(f, n).overall]
+        assert got == local_exceptions(f, 1999)
+        assert factored == [f]
 
 
 class TestLocalExceptions:

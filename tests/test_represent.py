@@ -5,15 +5,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mgonal import represent
 from mgonal.errors import CacheFormatError, ResourceLimitError
 from mgonal.forms import Domain, MgonalForm, decompose, is_polygonal, polygonal_number, polygonal_values
 from mgonal.represent import (
     _WORD_SIEVE_MIN_BOUND,
+    DEFAULT_BOUND_CAP,
     RepresentedSet,
     SystemInstance,
+    _acc_first_missing,
+    _acc_truncated,
     _acc_words,
     _shift_or_int,
     _shift_or_words,
@@ -617,6 +620,76 @@ def test_truant_examples():
     for m in (5, 7, 11):
         assert truant_up_to(MgonalForm.make(m, [1, 1]), 100) == 3
     assert truant_up_to(MgonalForm.make(4, [1, 1, 1, 1]), 10**5) is None
+
+
+# every truant-search window edge below the word-path crossover, and the crossover
+_TRUANT_EDGES = [16 * 4**k for k in range(7)] + [_WORD_SIEVE_MIN_BOUND]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 20),
+    st.lists(st.integers(1, 8), min_size=1, max_size=5),
+    st.sampled_from(list(Domain)),
+    st.sampled_from(_TRUANT_EDGES),
+    st.integers(-2, 2),
+)
+@example(10, [1, 3], Domain.NONNEG, 16, 0)  # a gap at 2: not a gapless chain
+@example(10, [1, 3], Domain.NONNEG, 16, -15)
+@example(3, [1, 1, 1], Domain.NONNEG, _WORD_SIEVE_MIN_BOUND, 1)  # universal
+@example(4, [1, 1, 1, 1], Domain.INT, 1024, 1)
+@example(4, [1, 2, 3, 4, 5], Domain.NONNEG, _WORD_SIEVE_MIN_BOUND, -1)
+def test_windowed_truant_is_the_full_sieve_truant(m, coeffs, domain, edge, delta):
+    form = MgonalForm.make(m, coeffs)
+    bound = max(1, edge + delta)
+    assert truant_up_to(form, bound, domain) == represented_set(form, bound, domain).first_missing(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(_TRUANT_EDGES + [1 << 18, (1 << 19) + 5]),
+    st.integers(-70, 70),
+    st.floats(0, 1),
+)
+def test_cut_accumulator_is_the_prefix(rng, edge, delta, share):
+    # an accumulator cut to a narrower window, in either form on either side
+    # of the word-path crossover, holds the same bits and answers the same truant
+    bound = max(1, edge + delta)
+    to = max(1, int(bound * share))
+    bits = rng.getrandbits(bound + 1) | 1 | (1 << rng.randint(0, bound)) - 1
+    acc = bits if bound < _WORD_SIEVE_MIN_BOUND else words_of(bits, bound)
+    cut = _acc_truncated(acc, bound, to)
+    assert isinstance(cut, int) == (to < _WORD_SIEVE_MIN_BOUND)
+    assert acc_bits(cut, to) == bits & ((1 << (to + 1)) - 1)
+    assert _acc_first_missing(cut, to) == RepresentedSet(None, Domain.NONNEG, to, _acc_words(cut, to)).first_missing(1)
+
+
+def test_truant_sieves_windows_that_follow_the_truant(monkeypatch):
+    bounds = []
+    real = represent.represented_set
+
+    def recording(form, bound, domain=Domain.NONNEG):
+        bounds.append(bound)
+        return real(form, bound, domain)
+
+    monkeypatch.setattr(represent, "represented_set", recording)
+    assert truant_up_to(MgonalForm.make(8, [1, 1, 2, 4]), 10**6) == 19
+    assert bounds == [16, 64]
+    bounds.clear()
+    assert truant_up_to(MgonalForm.make(3, [1, 1, 1]), 5000) is None
+    assert bounds == [16, 64, 256, 1024, 4096, 5000]
+
+
+def test_truant_past_the_bound_cap_sieves_nothing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("sieved past the cap")
+
+    monkeypatch.setattr(represent, "represented_set", fail)
+    with pytest.raises(ResourceLimitError):
+        truant_up_to(MgonalForm.make(8, [1]), DEFAULT_BOUND_CAP + 1)
+    with pytest.raises(ValueError):
+        truant_up_to(MgonalForm.make(8, [1]), 0)
 
 
 def test_solve_system_examples():
