@@ -124,9 +124,9 @@ def test_depth5_trees_stable_and_inside_t_d5():
 
 
 def reference_tree(m: int, max_depth: int, bound: int) -> dict:
-    """The escalator tree as JSON, every node sieved from scratch to the full
-    bound: the walk before truants were searched in windows along a shared
-    path (a shortcut node's truant is the sieve's, as `node_truant` gives it)."""
+    """The escalator tree as JSON with every node sieved from scratch to the
+    full bound: no windows and no shared path (a shortcut node's truant is
+    the sieve's, as `node_truant` gives it)."""
 
     def grow(coeffs: tuple[int, ...]) -> dict:
         t = represented_set(MgonalForm(m, coeffs), bound).first_missing(1)

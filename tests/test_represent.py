@@ -632,8 +632,9 @@ _TRUANT_EDGES = [16 * 4**k for k in range(7)] + [_WORD_SIEVE_MIN_BOUND]
     st.lists(st.integers(1, 8), min_size=1, max_size=5),
     st.sampled_from(list(Domain)),
     st.sampled_from(_TRUANT_EDGES),
-    st.integers(-2, 2),
+    st.one_of(st.integers(-2, 2), st.integers(-3000, 3000)),
 )
+@example(8, [1, 1, 2, 4], Domain.NONNEG, 16, 4)  # truant 19: past the last window below the bound
 @example(10, [1, 3], Domain.NONNEG, 16, 0)  # a gap at 2: not a gapless chain
 @example(10, [1, 3], Domain.NONNEG, 16, -15)
 @example(3, [1, 1, 1], Domain.NONNEG, _WORD_SIEVE_MIN_BOUND, 1)  # universal
