@@ -26,7 +26,7 @@ from .escalator import build_tree, exceptions, gamma_estimate, growth_probe, t_d
 from .forms import Domain, MgonalForm, decompose, is_polygonal, polygonal_number
 from .local import locally_represented
 from .reduction import feasible_k, k_window
-from .represent import RepresentedSet, represented_set, represents
+from .represent import RepresentedSet, represented_set, represents, truant_up_to
 
 __all__ = ["main", "load_or_build_set", "cache_file_name"]
 
@@ -310,8 +310,12 @@ def _cmd_set(args) -> None:
 def _cmd_truant(args) -> None:
     form = MgonalForm.make(args.m, args.coeffs)
     bound, cap = args.bound, 10**8
+    cache_dir = _cache_dir(args)
     while True:  # --escalate doubles the bound on a miss, extending the cache file
-        t = load_or_build_set(form, bound, args.domain, _cache_dir(args)).first_missing()
+        if cache_dir is None:  # windows that follow the truant, not the bound
+            t = truant_up_to(form, bound, args.domain)
+        else:
+            t = load_or_build_set(form, bound, args.domain, cache_dir).first_missing()
         if t is not None or not args.escalate or bound >= cap:
             break
         bound = min(2 * bound, cap)

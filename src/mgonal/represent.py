@@ -31,14 +31,27 @@ testing them is cheaper than ORing on, the shifts left are tested on the
 gaps instead, each gap only against the shifts below it, and the output is
 all ones but the gaps no shift fills.
 
+`represented_set` sieves its steps in a planned order (`_step_order`): a
+sumset is the same in any order, but a step costs next to nothing once its
+input is dense, and m-gonal forms of rank >= 5 are almost regular, so some
+sub-form is often dense already.  From `_WORD_SIEVE_MIN_BOUND` up, for
+ranks 3 to `_PLAN_MAX_RANK`, a pilot sieves sub-forms exactly on 2^11 bits
+(`_pilot`), predicts from their gaps which are dense at the bound, and the
+cheapest dense one under a step-cost model is sieved first, its costliest
+step last; the order stays ascending unless the plan is modelled at most
+four fifths of the ascending cost.  The suffix masks and the escalator tree
+path keep their fixed order: they need those exact sub-forms.
+
 The set serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +104,8 @@ class RepresentedSet:
         return bool(self.words[n >> 3] >> (n & 7) & 1)
 
     def count(self) -> int:
-        return self.bits.bit_count()
+        """How many integers in [0, bound] are represented."""
+        return int(np.bitwise_count(np.frombuffer(self.words, dtype="<u8")).sum())
 
     def first_missing(self, start: int = 1) -> int | None:
         """Smallest non-represented integer in [start, bound], else None."""
@@ -425,15 +439,224 @@ def _check_bound(bound: int, cap: int = DEFAULT_BOUND_CAP) -> None:
         raise ResourceLimitError(f"bound {bound} exceeds cap {cap}")
 
 
+# --- the order of the sieve steps -------------------------------------------
+
+# The figures below compare the plans' sieves with the ascending ones on the
+# 366 sieves the global_sieve benchmark's batches make at seeds 41-44 (bounds
+# 2^19-2^22, in process, each order the best of 7 runs on one core of a
+# 2-vCPU machine): 0.78 of the time with these settings, and 2 sieves more
+# than 10% slower.
+
+# The pilot sieves sub-forms exactly on [0, 2^11]; on 2^10 bits its plans
+# took 0.80 of the time (11 sieves more than 10% slower), for 10-25% less
+# planning time.
+_PILOT_BITS = 1 << 11
+# The plan lists all 2^(rank-1) - 1 sub-forms that hold the first
+# coefficient; past this rank the steps keep their ascending order.
+_PLAN_MAX_RANK = 6
+# A word step's cost, counted in shifts ORed: one per value, and per residue
+# group one bit-shifted copy of acc, which costs about as much as ORing this
+# many shifts (measured 3.5-4 at 2^19 bits).  Without it the plans took
+# about the same time, but 8 sieves ran more than 10% slower, one 1.75x.
+_SHIFTED_COPY_COST = 4
+# The share of its cost a step pays when its output turns dense, so that it
+# ends on the gaps after a few residue groups.  Measured, such steps pay
+# 0.2-1.1 (median 0.56, more when their input is sparse or the gaps no
+# shift fills are many), but with 0.5 here the plans took 0.81 of the
+# time, and with 1, 0.88: fewer orders are planned, and those left out pay.
+_DENSE_OUTPUT_SHARE = 0.1
+# A planned order is taken only when its modelled cost is at most this share
+# of the ascending order's: with 1, the plans took 0.77 of the time, but 7
+# sieves ran more than 10% slower; with 0.7, 0.83 and 1.
+_PLAN_MARGIN = 0.8
+# The pilot may make one shift (one `_shift_or_int` iteration on its window)
+# per this many word ORs that the ascending sieve makes at most, every step
+# after the first over all its words.  A pilot shift takes about 0.3 us, and
+# a word OR 0.35 ns, so the pilot's shifts cost at most about 2.5% of that
+# sieve.
+_WORDS_PER_PILOT_SHIFT = 1 << 15
+# (m, domain is Z, sub-form) -> its pilot (`_pilot`), least recently used
+# first, at most about 0.5 KB each.  Sub-forms recur: the forms of an audit
+# share their first coefficients, and a pilot does not depend on the bound,
+# so a cache extension or a truant search past its first window plans its
+# sieves with the pilots it has.
+_PILOTS: dict[tuple[int, bool, tuple[int, ...]], tuple[int, int, float, int | None]] = {}
+_PILOTS_MAX = 256
+
+
+@functools.lru_cache(maxsize=128)
+def _polygonal_residues(m: int) -> frozenset[int]:
+    """The residues mod 64 of P_m(x), for m mod 128: they have period 128 in
+    x, so they are the same over N_0 and over Z."""
+    return frozenset(((m - 2) * x * x - (m - 4) * x) // 2 & 63 for x in range(128))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _shift_residues(m: int, a: int) -> int:
+    """How many nonzero residues mod 64 the shifts a*P_m(x) take, for m mod
+    128 and a mod 64."""
+    return len({a * r & 63 for r in _polygonal_residues(m)} - {0})
+
+
+def _step_cost(m: int, a: int, domain: Domain, bound: int) -> int:
+    """A word step's cost with coefficient a when it ORs every shift."""
+    shifts = _value_count(m, bound // a, domain) - 1
+    return shifts + _SHIFTED_COPY_COST * min(shifts, _shift_residues(m & 127, a & 63))
+
+
+class _PilotSpent(Exception):
+    """A pilot was asked for more shifts than it had left."""
+
+
+@functools.lru_cache(maxsize=64)
+def _pilot_values(m: int, domain: Domain) -> tuple[int, ...]:
+    """The values P_m(x) <= `_PILOT_BITS` over the domain, ascending."""
+    return tuple(_step_values(m, _PILOT_BITS, domain).tolist())
+
+
+def _pilot(
+    m: int, domain: Domain, sub: tuple[int, ...], values: tuple[int, ...], left: list[int]
+) -> tuple[int, int, float, int | None]:
+    """(gaps, g4, q, acc) of the sub-form with coefficients sub (ascending) on
+    [0, w], w = `_PILOT_BITS`: its gaps in [1, w], those g4 in the upper half
+    (w/2, w], g4 over those in the third quarter (w/4, w/2] (over 1 if there
+    are none), and its sieve there while it has gaps (else None).
+
+    The sieve is one `_shift_or_int` step on that of sub[:-1], with the
+    prefix of values (`_pilot_values`) up to w // sub[-1]; one whose
+    parent has no gaps on the window has none either, and is not sieved.  A
+    step spends as many of left[0] shifts as it makes, and one that would
+    overspend them raises `_PilotSpent`.
+    """
+    key = (m, domain is Domain.INT, sub)  # an Enum member hashes in Python, a bool in C
+    got = _PILOTS.pop(key, None)
+    if got is None:
+        acc = _pilot(m, domain, sub[:-1], values, left)[3] if len(sub) > 1 else 1
+        if acc is None:
+            got = 0, 0, 0.0, None
+        else:
+            w = _PILOT_BITS
+            step = values[: bisect.bisect_right(values, w // sub[-1])]
+            if len(step) > left[0]:
+                raise _PilotSpent
+            left[0] -= len(step)
+            acc = _shift_or_int(acc, sub[-1], step, w)
+            above = (acc >> (w // 2 + 1)).bit_count()
+            g3 = w // 4 - (acc >> (w // 4 + 1)).bit_count() + above
+            gaps = w + 1 - acc.bit_count()
+            got = gaps, w // 2 - above, (w // 2 - above) / max(g3, 1), acc if gaps else None
+        if len(_PILOTS) >= _PILOTS_MAX:
+            del _PILOTS[next(iter(_PILOTS))]
+    _PILOTS[key] = got
+    return got
+
+
+def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> tuple[int, ...]:
+    """The order in which `represented_set` sieves the coefficients: a
+    permutation of coeffs, which gives the same bits in every order.
+
+    The first coefficient stays first: its values are written directly, at
+    next to no cost.  The cost model counts every later word step at
+    `_step_cost`, in full, at `_DENSE_OUTPUT_SHARE` of it when its output
+    turns dense, and at nothing once its input is dense (it only tests the
+    gaps).  Dense is the test of `_shift_or_words`, at most one gap per
+    `_GAP_SPACING` bits up to the bound; for each sub-form that holds the
+    first coefficient it is predicted from its `_pilot`: the gaps on the
+    pilot's window, then g4 gaps in the window's upper half, times q with
+    each doubling up to the bound.  An
+    almost regular sub-form thins out (q < 1), one with a congruence
+    obstruction does not (q = 2).
+
+    An order then costs its steps up to its first dense prefix D, least
+    with D's costliest step last.  The plan is the cheapest dense D, its
+    steps ascending but the costliest last, then the others, ascending; the
+    sub-forms are tested in order of their cost if dense, so that the first
+    dense one is the plan and the pilot sieves only those it tests.  The plan
+    is kept if it costs at most `_PLAN_MARGIN` of the ascending order.  The
+    pilot's shifts are capped at a share of the ascending sieve's word ORs
+    (`_WORDS_PER_PILOT_SHIFT`); once they are spent the order is ascending.
+
+    Below `_WORD_SIEVE_MIN_BOUND`, for rank <= 2 and past `_PLAN_MAX_RANK`
+    the order is ascending and no pilot runs.
+    """
+    if bound < _WORD_SIEVE_MIN_BOUND or not 2 < len(coeffs) <= _PLAN_MAX_RANK:
+        return coeffs
+    rest = coeffs[1:]
+    cost = [_step_cost(m, a, domain, bound) for a in rest]
+    nwords = (bound + 64) // 64
+    left = [sum(cost) * nwords // _WORDS_PER_PILOT_SHIFT]
+    most = 64 * nwords // _GAP_SPACING  # as in _shift_or_words
+    d = math.log2((bound + 1) / _PILOT_BITS)
+    values = _pilot_values(m, domain)
+    subs = {0: coeffs[:1]}  # mask -> coeffs[0] and rest[i] for the bits i of mask
+
+    def sub_of(mask: int) -> tuple[int, ...]:
+        sub = subs.get(mask)
+        if sub is None:
+            top = mask.bit_length() - 1
+            sub = subs[mask] = sub_of(mask ^ (1 << top)) + (rest[top],)
+        return sub
+
+    def dense(mask: int) -> bool:
+        """Whether the sub-form of a mask is predicted dense at the bound."""
+        gaps, g4, q, _ = _pilot(m, domain, sub_of(mask), values, left)
+        return gaps + g4 * (d if q == 1 else q * (q**d - 1) / (q - 1)) <= most
+
+    try:
+        return _planned_order(coeffs, cost, dense)
+    except _PilotSpent:
+        return coeffs
+
+
+def _planned_order(coeffs: tuple[int, ...], cost: list[int], dense: Callable[[int], bool]) -> tuple[int, ...]:
+    """`_step_order`'s plan from the costs of the steps after the first and
+    whether each sub-form is dense at the bound: the one of coeffs[0] and
+    coeffs[i + 1] for each bit i of a mask."""
+    # the values of a binary form have density 0: no sub-form of rank 2 is
+    # dense, none is a plan
+    rest = coeffs[1:]
+    ascending = 0.0
+    for k, c in enumerate(cost):
+        if k and dense((2 << k) - 1):
+            ascending += _DENSE_OUTPUT_SHARE * c
+            break
+        ascending += c
+    else:
+        return coeffs  # a sub-form has all the gaps of the whole form, and more
+    # the cost of each sub-form D if dense: its steps after coeffs[0] but
+    # the costliest, and that one's share; each sub-multiset once, with the
+    # first ones of equal coefficients
+    repeats = sum(1 << i for i in range(1, len(rest)) if rest[i] == rest[i - 1])
+    total = [0] * (1 << len(rest))
+    peak = [0] * (1 << len(rest))
+    plans = []
+    for mask in range(1, 1 << len(rest)):
+        top = mask.bit_length() - 1
+        c = cost[top]
+        t = total[mask] = total[mask ^ (1 << top)] + c
+        p = peak[mask] = c if c > peak[mask ^ (1 << top)] else peak[mask ^ (1 << top)]
+        planned = t - (1 - _DENSE_OUTPUT_SHARE) * p
+        if planned <= _PLAN_MARGIN * ascending and mask & (mask - 1) and not (mask & repeats) >> 1 & ~mask:
+            plans.append((planned, mask))
+    for _, mask in sorted(plans):
+        if dense(mask):
+            picked = [i for i in range(len(rest)) if mask >> i & 1]
+            last = max(picked, key=cost.__getitem__)
+            order = [i for i in picked if i != last] + [last] + [i for i in range(len(rest)) if i not in picked]
+            return coeffs[:1] + tuple(rest[i] for i in order)
+    return coeffs
+
+
 def represented_set(
     form: MgonalForm,
     bound: int,
     domain: Domain = Domain.NONNEG,
     bound_cap: int = DEFAULT_BOUND_CAP,
 ) -> RepresentedSet:
-    """Sieve all represented values <= bound by iterated sumset shift-or."""
+    """Sieve all represented values <= bound by iterated sumset shift-or, the
+    coefficients in `_step_order`."""
     _check_bound(bound, bound_cap)
-    for acc in _sieve_accs(form.m, form.coeffs, domain, bound):
+    for acc in _sieve_accs(form.m, _step_order(form.m, form.coeffs, domain, bound), domain, bound):
         pass  # keep only the last accumulator alive
     return RepresentedSet(form, domain, bound, _acc_words(acc, bound))
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from mgonal import cli, local
+from mgonal import cli, local, represent
 from mgonal.cli import cache_file_name, load_or_build_set, main
 from mgonal.errors import CacheFormatError
 from mgonal.escalator import build_tree, tree_nodes
@@ -232,6 +232,29 @@ def test_truant_report_same_with_and_without_cache(tmp_path, capsys, monkeypatch
     assert [p.name for p in tmp_path.glob("*.bin")] == [
         cache_file_name(MgonalForm.make(7, [1, 2, 2, 5]), Domain.NONNEG, 5000)
     ]
+
+
+@pytest.mark.parametrize("argv, truant, windows", [
+    (["--bound", "67108864"], 19, [16, 64]),
+    (["--bound", "5", "--escalate"], 19, [5, 10, 16, 20]),  # none up to 5, 10; then 20
+], ids=["bound-2^26", "escalate"])
+def test_uncached_truant_sieves_no_further_than_the_truant(capsys, monkeypatch, argv, truant, windows):
+    """Without a cache directory the truant is searched in windows that
+    follow it: nothing is sieved past the window that holds it, however
+    large the bound, and each --escalate step searches its bound alike."""
+    monkeypatch.delenv("MGONAL_CACHE_DIR", raising=False)
+    sieved = []
+    real = represent.represented_set
+
+    def recording(form, bound, domain=Domain.NONNEG, bound_cap=represent.DEFAULT_BOUND_CAP):
+        sieved.append(bound)
+        return real(form, bound, domain, bound_cap)
+
+    monkeypatch.setattr(represent, "represented_set", recording)
+    monkeypatch.setattr(cli, "represented_set", recording)
+    code, out = run_cli(capsys, "truant", "--m", "8", "--coeffs", "1,1,2,4", *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["truant"] == truant
+    assert sieved == windows
 
 
 @pytest.mark.parametrize("argv, truant, bound", [

@@ -623,6 +623,70 @@ def test_truant_examples():
 
 
 # every truant-search window edge below the word-path crossover, and the crossover
+# the margins that keep every planned order and none
+_PLAN_BRANCHES = {"planned": math.inf, "ascending": 0.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 30),
+    st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    st.sampled_from(list(Domain)),
+    st.integers(-(1 << 12), 1 << 15).map(lambda d: _WORD_SIEVE_MIN_BOUND + d),
+    st.sampled_from(sorted(_PLAN_BRANCHES)),
+)
+def test_sieve_in_step_order_is_the_ascending_sieve(m, coeffs, domain, bound, branch):
+    """A sumset does not depend on the order of its steps: the set sieved in
+    `_step_order`, planned or kept ascending, has the words and MGRS bytes of
+    the ascending `_sieve_accs` run."""
+    form = MgonalForm.make(m, coeffs)
+    with mock.patch.object(represent, "_PLAN_MARGIN", _PLAN_BRANCHES[branch]):
+        order = represent._step_order(m, form.coeffs, domain, bound)
+        got = represented_set(form, bound, domain)
+    if branch == "ascending" or bound < _WORD_SIEVE_MIN_BOUND:
+        assert order == form.coeffs
+    for acc in _sieve_accs(m, form.coeffs, domain, bound):
+        pass
+    want = RepresentedSet(form, domain, bound, _acc_words(acc, bound))
+    assert got.words == want.words and got.to_bytes() == want.to_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 40),
+    st.lists(st.integers(1, 1 << 12), min_size=1, max_size=8),
+    st.sampled_from(list(Domain)),
+    st.integers(1, DEFAULT_BOUND_CAP),
+    st.sampled_from(sorted(_PLAN_BRANCHES)),
+)
+def test_step_order_is_a_permutation(m, coeffs, domain, bound, branch):
+    coeffs = tuple(sorted(coeffs))
+    with mock.patch.object(represent, "_PLAN_MARGIN", _PLAN_BRANCHES[branch]):
+        order = represent._step_order(m, coeffs, domain, bound)
+    assert sorted(order) == list(coeffs) and order[0] == coeffs[0]
+
+
+def test_step_order_puts_a_dense_sub_form_first():
+    # <1,2,4,4>_9 is dense from 2^17 up, so the second 1, the costliest
+    # step, comes after it; <1,4,4> turns dense on its last step, 2
+    assert represent._step_order(9, (1, 1, 2, 4, 4), Domain.NONNEG, 1 << 19) == (1, 4, 4, 2, 1)
+    with mock.patch.object(represent, "_PLAN_MARGIN", 0.0):
+        assert represent._step_order(9, (1, 1, 2, 4, 4), Domain.NONNEG, 1 << 19) == (1, 1, 2, 4, 4)
+    # a congruence obstruction leaves no sub-form dense: ascending
+    assert represent._step_order(9, (4, 9, 9), Domain.NONNEG, 1 << 19) == (4, 9, 9)
+    assert represent._step_order(5, (3, 6, 6), Domain.INT, 1 << 22) == (3, 6, 6)
+    # below the word path, at rank 2 and past the largest planned rank no
+    # pilot runs
+    represent._PILOTS.clear()
+    for m, coeffs, bound in [
+        (9, (1, 1, 2, 4, 4), _WORD_SIEVE_MIN_BOUND - 1),
+        (9, (1, 2), 1 << 19),
+        (9, (1,) * (represent._PLAN_MAX_RANK + 1), 1 << 19),
+    ]:
+        assert represent._step_order(m, coeffs, Domain.NONNEG, bound) == coeffs
+    assert represent._PILOTS == {}
+
+
 _TRUANT_EDGES = [16 * 4**k for k in range(7)] + [_WORD_SIEVE_MIN_BOUND]
 
 

@@ -115,3 +115,19 @@ def test_represent_lists_values_only_for_its_value_table():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "polygonal_values"
     }
     assert callers == {"_step_values"}
+
+
+def test_only_the_full_sieve_plans_its_step_order():
+    # a sumset is the same in any order, but the witness search's suffix
+    # masks and the escalator tree path need their sub-forms in a fixed
+    # order: only represented_set may reorder its steps
+    assert private_uses("represent.py", {"_step_order"}) == []
+    tree = ast.parse((Path(mgonal.__file__).parent / "represent.py").read_text())
+    users = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "_step_order"
+    }
+    assert users == {"represented_set"}
