@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .errors import ResourceLimitError
 from .forms import Domain, MgonalForm
@@ -252,8 +252,15 @@ def t_d5() -> list[tuple[int, ...]]:
 
     These are exactly the coefficient chains a depth-5 escalator tree can
     produce once m is large enough that every node sits in the shortcut
-    regime; enumeration is lexicographic.
+    regime; enumeration is lexicographic.  A new list each call, of the
+    tuples enumerated once (`_t_d5`).
     """
+    return list(_t_d5())
+
+
+@cache
+def _t_d5() -> tuple[tuple[int, ...], ...]:
+    """The chains of `t_d5`, enumerated once and kept immutable."""
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int], total: int) -> None:
@@ -266,7 +273,7 @@ def t_d5() -> list[tuple[int, ...]]:
             prefix.pop()
 
     extend([1], 1)
-    return out
+    return tuple(out)
 
 
 def local_universal_quad(coeffs) -> bool:

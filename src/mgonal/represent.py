@@ -24,12 +24,16 @@ one form from the first step to the last: a big int below the measured break-eve
 `_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's fixed cost per call would
 dominate and the step is a loop of big-int shifts and ORs over the values as
 Python ints; little-endian numpy uint64 words from there up, where shifted
-copies of acc are ORed in place, grouped by shift residue mod 64
-(`_shift_or_words`).  Once the output's gaps are few (at once when acc is
-dense, as in the last steps of most sieves, or after a few groups) and
-testing them is cheaper than ORing on, the shifts left are tested on the
-gaps instead, each gap only against the shifts below it, and the output is
-all ones but the gaps no shift fills.
+copies of acc are ORed in place, grouped by shift residue mod 64, past
+2^23 bits block by block over the output (`_shift_or_words`).  Once the
+output's gaps are few (at once when acc is dense, as in the last steps of
+most sieves, or after a few groups) and testing them is cheaper than ORing
+on, the shifts left are tested on the gaps instead, each gap only against
+the shifts below it, and the output is all ones but the gaps no shift
+fills.  An acc with few set bits, as in the step right after the first
+coefficient, is not ORed at all: the output is made from the pair sums of
+its bits and the shifts (`_pair_sums`) when a cost model of pairs against
+word ORs says that is cheaper.
 
 `represented_set` sieves its steps in a planned order (`_step_order`): a
 sumset is the same in any order, but a step costs next to nothing once its
@@ -37,9 +41,10 @@ input is dense, and m-gonal forms of rank >= 5 are almost regular, so some
 sub-form is often dense already.  From `_WORD_SIEVE_MIN_BOUND` up, for
 ranks 3 to `_PLAN_MAX_RANK`, a pilot sieves sub-forms exactly on 2^11 bits
 (`_pilot`), predicts from their gaps which are dense at the bound, and the
-cheapest dense one under a step-cost model is sieved first, its costliest
-step last; the order stays ascending unless the plan is modelled at most
-four fifths of the ascending cost.  The suffix masks and the escalator tree
+cheapest dense one under a step-cost model is sieved first: the step that
+gains most from pair sums right after the first coefficient, its costliest
+other step last; the order stays ascending unless the plan is modelled at
+most four fifths of the ascending cost.  The suffix masks and the escalator tree
 path keep their fixed order: they need those exact sub-forms.
 
 The set serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
@@ -212,6 +217,28 @@ _GAP_SPACING = 512
 # then even gaps that no shift fills cost no more than ORing every shift.
 _GAP_TEST_COST = 64
 
+# Making one pair sum p + s, for p a set bit of acc and s a shift, costs
+# about as much as ORing this many words.  The word path takes the pair sums
+# when their count times this is below the word ORs of its shifts.  On
+# first steps measured at 2^18-2^23 bits, the two broke even at 14-20 word
+# ORs a pair at 2^18-2^19 bits, where the pair sums' cost per block weighs
+# most, and from 2^20 up the pair sums won at every ratio measured
+# (<1,1>_5 over Z at 2^22: 47 against 66 ms, at 25 word ORs a pair).
+_PAIR_COST = 16
+# The pair sums are made in blocks of at most this many bits (`_pair_block`),
+# so their byte flags take at most 512 KB.
+_PAIR_BLOCK_BITS = 1 << 18
+# Pair sums are made in int64 matrices of at most this many entries (32 KB):
+# with 2^14, first steps took 5% less time, but the global_sieve batches'
+# peak memory rose by about 0.2 MB.
+_PAIR_MATRIX = 1 << 12
+
+# Past this many words (2^23 bits) the OR path walks its output in blocks
+# of `_OR_BLOCK` words (256 KB), each of which takes every shift of a
+# residue group while it is in cache.
+_OR_BLOCKED_FROM = 1 << 17
+_OR_BLOCK = 1 << 15
+
 
 def _shift_or_int(acc: int, a: int, values: Sequence[int], bound: int) -> int:
     """OR over v in values of acc << a*v, masked to [0, bound], on one big int
@@ -227,20 +254,36 @@ def _shift_or_words(words: np.ndarray, a: int, values: Sequence[int], bound: int
     """The same OR on little-endian uint64 words (the MGRS body layout), for
     ascending values with values[0] = P_m(0) = 0; new words, zero past bound.
 
-    The output starts as acc (the v = 0 term).  The other shifts are grouped
-    by residue mod 64, largest group first: one bit-shifted copy of acc per
-    residue, then one word-aligned in-place OR per shift.  Before the 1st,
-    2nd, 4th, 8th, ... group the output is checked: once it has at most one
-    gap per `_GAP_SPACING` bits and testing them costs less than ORing on
-    (`_GAP_TEST_COST`), the shifts left are tested on those gaps instead
-    (`_unfilled`), and the output is all ones but the gaps none of them
-    fills.  A dense acc is never ORed at all; a sparse one fills up after a
-    few groups.
+    An acc with few set bits is not ORed at all: its bits p are listed and
+    the output is made from the pair sums p + a*v <= bound (`_pair_sums`),
+    when their count, from each bit's reach in the shifts, costs less
+    (`_PAIR_COST`) than ORing every shift over all words.  A bit in the
+    lower half of the words pairs with at least the shifts up to about
+    bound/2, so a dense acc is turned away before its bits are listed.
+
+    Otherwise the output starts as acc (the v = 0 term).  The other shifts
+    are grouped by residue mod 64, largest group first: one bit-shifted copy
+    of acc per residue, then one word-aligned in-place OR per shift, past
+    `_OR_BLOCKED_FROM` words block by block over the output.  Before the
+    1st, 2nd, 4th, 8th, ... group the output is checked: once it has at
+    most one gap per `_GAP_SPACING` bits and testing them costs less than
+    ORing on (`_GAP_TEST_COST`), the shifts left are tested on those gaps
+    instead (`_unfilled`), and the output is all ones but the gaps none of
+    them fills.  A dense acc is never ORed at all; a sparse one fills up
+    after a few groups.
     """
     nwords = words.size
+    steps = a * np.asarray(values, dtype=np.int64)  # 0 and the shifts, ascending
+    shifts = steps[1:]
+    ors = shifts.size * nwords
+    half = nwords // 2
+    low = int(np.searchsorted(steps, bound - 64 * half, side="right"))
+    if int(np.count_nonzero(words[:half])) * low * _PAIR_COST < ors:
+        pos = _set_bits(words, bound, most=ors // _PAIR_COST)
+        if pos is not None and _pair_count(pos, steps, bound) * _PAIR_COST < ors:
+            return _mask_tail(_pair_sums(pos, steps, bound, nwords), bound)
     out = words.copy()
     shifted = np.empty(nwords, dtype="<u8")  # a shifted copy of acc, or ~out
-    shifts = a * np.asarray(values[1:], dtype=np.int64)
 
     def on_gaps(done: list[int]) -> np.ndarray | None:
         """The step's words from out's gaps and the shifts whose residue is
@@ -273,9 +316,87 @@ def _shift_or_words(words: np.ndarray, a: int, values: Sequence[int], bound: int
             sh = shifted
         else:
             sh = words
-        for q in qs:
-            out[q:] |= sh[: nwords - q]
+        if nwords <= _OR_BLOCKED_FROM:
+            for q in qs:
+                out[q:] |= sh[: nwords - q]
+            continue
+        for lo in range(0, nwords, _OR_BLOCK):  # each block takes every shift while in cache
+            hi = min(lo + _OR_BLOCK, nwords)
+            for q in qs:  # ascending
+                if q >= hi:
+                    break
+                if q <= lo:
+                    out[lo:hi] |= sh[lo - q : hi - q]
+                else:
+                    out[q:hi] |= sh[: hi - q]
     return _mask_tail(out, bound)
+
+
+def _pair_count(pos: np.ndarray, steps: np.ndarray, bound: int) -> int:
+    """About how many pair sums `_pair_sums` makes: each p in pos pairs
+    with the steps up to bound - p, and when pos are the steps themselves
+    (a coefficient repeats the first), each pair is made once, not twice."""
+    pairs = int(np.searchsorted(steps, bound - pos, side="right").sum())
+    return pairs // 2 if np.array_equal(pos, steps) else pairs
+
+
+def _pair_block(nwords: int) -> int:
+    """The bits b of one block of `_pair_sums` on nwords words: a multiple of
+    64, an eighth of the output, so that the flags of two blocks take at most
+    a quarter of its bits in bytes (as many as the OR path's shifted copy of
+    acc and its carry temporary), but past 128 KB of flags only a sixteenth,
+    no more than one word array, and at most `_PAIR_BLOCK_BITS`.  Freeing a
+    larger buffer than the word arrays raises malloc's mmap threshold, and
+    with it the memory later steps keep: with an eighth throughout, the
+    global_sieve batches' peak memory rose by 0.3 MB."""
+    return 64 * min(-(-nwords // 8), max(1 << 10, nwords // 16), _PAIR_BLOCK_BITS // 64)
+
+
+def _pair_sums(pos: np.ndarray, steps: np.ndarray, bound: int, nwords: int) -> np.ndarray:
+    """nwords little-endian uint64 words with the bits p + s <= bound set,
+    for p in pos and s in steps (both ascending int64, p <= bound); bits
+    past bound in the last word may be set too.
+
+    The output is made in blocks of b bits (`_pair_block`), as byte flags
+    that np.packbits turns into words.
+    pos and steps are cut at the multiples of b too: the sums of the bits
+    in block k and the steps in block d fall in blocks k + d and k + d + 1,
+    at (p mod b) + (s mod b) from the start of block k + d.  So the flags
+    cover two blocks, 2b bytes, and the block from j*b is done once the
+    cells with k + d = j are: its flags are packed, and the next block's
+    move down.  Each row block stops at its reach, the steps up to bound -
+    k*b.  Each pair is made once, in int64 matrices of at most
+    `_PAIR_MATRIX` entries (or one column); when pos are the steps, the
+    cells with k > d are left out, as their sums are those of cell (d, k).
+    """
+    nbits = 64 * nwords
+    b = _pair_block(nwords)
+    edges = np.arange(0, nbits + b, b)
+    rows_at = np.searchsorted(pos, edges).tolist()
+    cols_at = np.searchsorted(steps, edges).tolist()
+    reach = np.searchsorted(steps, bound - edges, side="right").tolist()
+    low_pos = pos % b
+    low_steps = steps % b
+    out = np.empty(nwords, dtype="<u8")
+    body = out.view(np.uint8)
+    flags = np.zeros(2 * b, dtype=np.uint8)
+    symmetric = np.array_equal(pos, steps)
+    for j in range(len(edges) - 1):
+        for k in range(j // 2 + 1 if symmetric else j + 1):
+            r0, r1 = rows_at[k], rows_at[k + 1]
+            c0, c1 = cols_at[j - k], min(cols_at[j - k + 1], reach[k])
+            if r0 == r1 or c0 >= c1:
+                continue
+            rows = low_pos[r0:r1, None]
+            width = max(1, _PAIR_MATRIX // (r1 - r0))
+            for c in range(c0, c1, width):
+                flags[rows + low_steps[c : min(c + width, c1)]] = 1
+        lo = j * b
+        n = min(b, nbits - lo)
+        body[lo // 8 : (lo + n) // 8] = np.packbits(flags[:n], bitorder="little")
+        flags[:b] = flags[b:]
+        flags[b:] = 0
+    return out
 
 
 def _unfilled(words: np.ndarray, gaps: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -442,13 +563,14 @@ def _check_bound(bound: int, cap: int = DEFAULT_BOUND_CAP) -> None:
 # --- the order of the sieve steps -------------------------------------------
 
 # The figures below compare the plans' sieves with the ascending ones on the
-# 366 sieves the global_sieve benchmark's batches make at seeds 41-44 (bounds
+# 392 sieves the global_sieve benchmark's batches make at seeds 41-44 (bounds
 # 2^19-2^22, in process, each order the best of 7 runs on one core of a
-# 2-vCPU machine): 0.78 of the time with these settings, and 2 sieves more
-# than 10% slower.
+# 2-vCPU machine, planning not counted), both with the step right after the
+# first coefficient on pair sums: 0.89 of the time with these settings, and
+# 9 sieves more than 10% slower, most of them sieves of 2-3 ms.
 
 # The pilot sieves sub-forms exactly on [0, 2^11]; on 2^10 bits its plans
-# took 0.80 of the time (11 sieves more than 10% slower), for 10-25% less
+# took 0.90 of the time (15 sieves more than 10% slower), for 10-25% less
 # planning time.
 _PILOT_BITS = 1 << 11
 # The plan lists all 2^(rank-1) - 1 sub-forms that hold the first
@@ -457,23 +579,27 @@ _PLAN_MAX_RANK = 6
 # A word step's cost, counted in shifts ORed: one per value, and per residue
 # group one bit-shifted copy of acc, which costs about as much as ORing this
 # many shifts (measured 3.5-4 at 2^19 bits).  Without it the plans took
-# about the same time, but 8 sieves ran more than 10% slower, one 1.75x.
+# 0.92 of the time and 20 sieves ran more than 10% slower; with 8, 0.88 and
+# 9.
 _SHIFTED_COPY_COST = 4
 # The share of its cost a step pays when its output turns dense, so that it
 # ends on the gaps after a few residue groups.  Measured, such steps pay
 # 0.2-1.1 (median 0.56, more when their input is sparse or the gaps no
-# shift fills are many), but with 0.5 here the plans took 0.81 of the
-# time, and with 1, 0.88: fewer orders are planned, and those left out pay.
-_DENSE_OUTPUT_SHARE = 0.1
+# shift fills are many).  With 0.1 here the plans took 0.87 of the time,
+# but 29 sieves ran more than 10% slower; with 0.25, 0.87 and 20; with 1,
+# 0.92 and 5.  With 0.25 or less, <1,2,4,8,9>_12 at 2^19 is planned as
+# (1, 9, 8, 2, 4), which sieves 1.5x slower than ascending.
+_DENSE_OUTPUT_SHARE = 0.5
 # A planned order is taken only when its modelled cost is at most this share
-# of the ascending order's: with 1, the plans took 0.77 of the time, but 7
-# sieves ran more than 10% slower; with 0.7, 0.83 and 1.
+# of the ascending order's: with 1, the plans took 0.84 of the time, but 22
+# sieves ran more than 10% slower; with 0.9, 0.85 and 19 (and the 1.5x
+# plan above); with 0.7, 0.94 and 4.
 _PLAN_MARGIN = 0.8
 # The pilot may make one shift (one `_shift_or_int` iteration on its window)
-# per this many word ORs that the ascending sieve makes at most, every step
-# after the first over all its words.  A pilot shift takes about 0.3 us, and
-# a word OR 0.35 ns, so the pilot's shifts cost at most about 2.5% of that
-# sieve.
+# per this many word ORs that the ascending sieve makes at most, as its
+# cost model counts them (`_lead_step_cost`, then `_step_cost` over all the
+# words).  A pilot shift takes about 0.3 us, and a word OR 0.35 ns, so the
+# pilot's shifts cost at most about 2.5% of that sieve.
 _WORDS_PER_PILOT_SHIFT = 1 << 15
 # (m, domain is Z, sub-form) -> its pilot (`_pilot`), least recently used
 # first, at most about 0.5 KB each.  Sub-forms recur: the forms of an audit
@@ -502,6 +628,21 @@ def _step_cost(m: int, a: int, domain: Domain, bound: int) -> int:
     """A word step's cost with coefficient a when it ORs every shift."""
     shifts = _value_count(m, bound // a, domain) - 1
     return shifts + _SHIFTED_COPY_COST * min(shifts, _shift_residues(m & 127, a & 63))
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _lead_step_cost(m: int, a0: int, a: int, domain: Domain, bound: int) -> float:
+    """The cost, in shifts ORed, of the step with coefficient a right after
+    the first coefficient a0: `_step_cost`, or the pair sums' when
+    `_shift_or_words` takes them (`_pair_count` of the values a0*P_m(v)
+    and the steps, as it counts them)."""
+    firsts = a0 * _step_values(m, bound // a0, domain)
+    steps = a * _step_values(m, bound // a, domain)
+    nwords = (bound + 64) // 64
+    pairs = _pair_count(firsts, steps, bound)
+    if pairs * _PAIR_COST < (steps.size - 1) * nwords:
+        return pairs * _PAIR_COST / nwords
+    return _step_cost(m, a, domain, bound)
 
 
 class _PilotSpent(Exception):
@@ -556,10 +697,11 @@ def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> 
     permutation of coeffs, which gives the same bits in every order.
 
     The first coefficient stays first: its values are written directly, at
-    next to no cost.  The cost model counts every later word step at
-    `_step_cost`, in full, at `_DENSE_OUTPUT_SHARE` of it when its output
-    turns dense, and at nothing once its input is dense (it only tests the
-    gaps).  Dense is the test of `_shift_or_words`, at most one gap per
+    next to no cost.  The cost model counts the step right after it at
+    `_lead_step_cost` (its input is sparse, so it may make pair sums), and
+    every later word step at `_step_cost`, in full, at `_DENSE_OUTPUT_SHARE`
+    of it when its output turns dense, and at nothing once its input is
+    dense (it only tests the gaps).  Dense is the test of `_shift_or_words`, at most one gap per
     `_GAP_SPACING` bits up to the bound; for each sub-form that holds the
     first coefficient it is predicted from its `_pilot`: the gaps on the
     pilot's window, then g4 gaps in the window's upper half, times q with
@@ -568,9 +710,10 @@ def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> 
     obstruction does not (q = 2).
 
     An order then costs its steps up to its first dense prefix D, least
-    with D's costliest step last.  The plan is the cheapest dense D, its
-    steps ascending but the costliest last, then the others, ascending; the
-    sub-forms are tested in order of their cost if dense, so that the first
+    with the step of D that gains most from `_lead_step_cost` first and the
+    costliest of the others last.  The plan is the cheapest dense D, its
+    steps in that order, the ones between ascending, then the others,
+    ascending; the sub-forms are tested in order of their cost if dense, so that the first
     dense one is the plan and the pilot sieves only those it tests.  The plan
     is kept if it costs at most `_PLAN_MARGIN` of the ascending order.  The
     pilot's shifts are capped at a share of the ascending sieve's word ORs
@@ -583,8 +726,9 @@ def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> 
         return coeffs
     rest = coeffs[1:]
     cost = [_step_cost(m, a, domain, bound) for a in rest]
+    lead = {a: _lead_step_cost(m, coeffs[0], a, domain, bound) for a in set(rest)}
     nwords = (bound + 64) // 64
-    left = [sum(cost) * nwords // _WORDS_PER_PILOT_SHIFT]
+    left = [int(lead[rest[0]] + sum(cost[1:])) * nwords // _WORDS_PER_PILOT_SHIFT]
     most = 64 * nwords // _GAP_SPACING  # as in _shift_or_words
     d = math.log2((bound + 1) / _PILOT_BITS)
     values = _pilot_values(m, domain)
@@ -603,46 +747,50 @@ def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> 
         return gaps + g4 * (d if q == 1 else q * (q**d - 1) / (q - 1)) <= most
 
     try:
-        return _planned_order(coeffs, cost, dense)
+        return _planned_order(coeffs, cost, [lead[a] for a in rest], dense)
     except _PilotSpent:
         return coeffs
 
 
-def _planned_order(coeffs: tuple[int, ...], cost: list[int], dense: Callable[[int], bool]) -> tuple[int, ...]:
-    """`_step_order`'s plan from the costs of the steps after the first and
-    whether each sub-form is dense at the bound: the one of coeffs[0] and
-    coeffs[i + 1] for each bit i of a mask."""
+def _planned_order(
+    coeffs: tuple[int, ...], cost: list[int], lead: list[float], dense: Callable[[int], bool]
+) -> tuple[int, ...]:
+    """`_step_order`'s plan from the costs of the steps after the first (as
+    the step right after it in lead, else in cost) and whether each
+    sub-form is dense at the bound: the one of coeffs[0] and coeffs[i + 1]
+    for each bit i of a mask."""
     # the values of a binary form have density 0: no sub-form of rank 2 is
     # dense, none is a plan
     rest = coeffs[1:]
-    ascending = 0.0
-    for k, c in enumerate(cost):
-        if k and dense((2 << k) - 1):
-            ascending += _DENSE_OUTPUT_SHARE * c
+    ascending = lead[0]
+    for k in range(1, len(rest)):
+        if dense((2 << k) - 1):
+            ascending += _DENSE_OUTPUT_SHARE * cost[k]
             break
-        ascending += c
+        ascending += cost[k]
     else:
         return coeffs  # a sub-form has all the gaps of the whole form, and more
-    # the cost of each sub-form D if dense: its steps after coeffs[0] but
-    # the costliest, and that one's share; each sub-multiset once, with the
-    # first ones of equal coefficients
+    # the cost of each sub-form D if dense, with the step of D that gains most
+    # right after coeffs[0] and its costliest other step last, at its share;
+    # each sub-multiset once, with the first ones of equal coefficients
     repeats = sum(1 << i for i in range(1, len(rest)) if rest[i] == rest[i - 1])
-    total = [0] * (1 << len(rest))
-    peak = [0] * (1 << len(rest))
     plans = []
     for mask in range(1, 1 << len(rest)):
-        top = mask.bit_length() - 1
-        c = cost[top]
-        t = total[mask] = total[mask ^ (1 << top)] + c
-        p = peak[mask] = c if c > peak[mask ^ (1 << top)] else peak[mask ^ (1 << top)]
-        planned = t - (1 - _DENSE_OUTPUT_SHARE) * p
-        if planned <= _PLAN_MARGIN * ascending and mask & (mask - 1) and not (mask & repeats) >> 1 & ~mask:
-            plans.append((planned, mask))
-    for _, mask in sorted(plans):
+        if not mask & (mask - 1) or (mask & repeats) >> 1 & ~mask:
+            continue
+        picked = [i for i in range(len(rest)) if mask >> i & 1]
+        total = sum(cost[i] for i in picked)
+        options = []
+        for first in picked:
+            last = max((i for i in picked if i != first), key=cost.__getitem__)
+            planned = total - cost[first] + lead[first] - (1 - _DENSE_OUTPUT_SHARE) * cost[last]
+            options.append((planned, mask, first, last))
+        if min(options)[0] <= _PLAN_MARGIN * ascending:
+            plans.append(min(options))
+    for _, mask, first, last in sorted(plans):
         if dense(mask):
-            picked = [i for i in range(len(rest)) if mask >> i & 1]
-            last = max(picked, key=cost.__getitem__)
-            order = [i for i in picked if i != last] + [last] + [i for i in range(len(rest)) if i not in picked]
+            middle = [i for i in range(len(rest)) if mask >> i & 1 and i not in (first, last)]
+            order = [first, *middle, last] + [i for i in range(len(rest)) if not mask >> i & 1]
             return coeffs[:1] + tuple(rest[i] for i in order)
     return coeffs
 
@@ -879,7 +1027,12 @@ def solve_system(inst: SystemInstance, domain: Domain = Domain.INT) -> tuple[int
     Variables are enumerated in descending coefficient order inside the box
     |x_i| <= sqrt(alpha / a_i); the last two are solved in closed form and the
     first back-solved from the linear equation, with both equations verified.
-    Pruning uses the real-feasibility bound beta_rem^2 <= S_rem * alpha_rem.
+    Pruning uses the real-feasibility bound beta_rem^2 <= S_rem * alpha_rem,
+    and two exact ones: alpha_rem - beta_rem = sum a_i x_i (x_i - 1) over the
+    free variables, and x (x - 1) is even and >= 0 for every integer x, so
+    alpha_rem >= beta_rem, g | beta_rem and 2g | alpha_rem - beta_rem, with
+    g the gcd of the free coefficients.  Each prune cuts only subtrees with
+    no solution, so the witness is the one the unpruned search finds.
     """
     coeffs = inst.form.coeffs
     n = len(coeffs)
@@ -895,18 +1048,24 @@ def solve_system(inst: SystemInstance, domain: Domain = Domain.INT) -> tuple[int
             return (x,)
         return None
 
-    # prefix[k] = a_0 + ... + a_{k-1}, for the Cauchy-Schwarz style prune
+    # prefix[k] = a_0 + ... + a_{k-1}, for the Cauchy-Schwarz style prune,
+    # and gcds[k] = gcd(a_0, ..., a_{k-1}) for the exact ones
     prefix = [0] * (n + 1)
+    gcds = [0] * (n + 1)
     for i in range(n):
         prefix[i + 1] = prefix[i] + coeffs[i]
+        gcds[i + 1] = math.gcd(gcds[i], coeffs[i])
 
     xs = [0] * n
 
     def feasible(free: int, alpha_rem: int, beta_rem: int) -> bool:
         # `free` variables (indices 0..free-1) remain unassigned
-        if alpha_rem < 0:
+        if alpha_rem < 0 or alpha_rem < beta_rem:
             return False
         if nonneg and beta_rem < 0:
+            return False
+        g = gcds[free]
+        if beta_rem % g or (alpha_rem - beta_rem) % (2 * g):
             return False
         return beta_rem * beta_rem <= prefix[free] * alpha_rem
 

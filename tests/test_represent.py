@@ -108,14 +108,19 @@ def step_accs(draw, bound):
     """An accumulator for one sieve step at `bound`: sparse, dense, full, or
     with a few gaps (in a count of words at the word path's gap check +-1,
     only near bound, a run of low zeros that no shift can fill, or gaps
-    below the smallest shift tested with shifts far above them); sometimes
-    with bits past bound, which the step drops."""
+    below the smallest shift tested with shifts far above them), or with
+    the bits on both sides of each edge of the blocks `_pair_sums` cuts at
+    this bound; sometimes with bits past bound, which the step drops."""
     rng = draw(st.randoms(use_true_random=False))
     full = (1 << (bound + 1)) - 1
-    kinds = ["one", "sparse", "dense", "full", "few gaps", "near bound", "low zeros", "low gaps"]
+    kinds = ["one", "sparse", "dense", "full", "few gaps", "near bound", "low zeros", "low gaps", "block edges"]
     kind = draw(st.sampled_from(kinds))
     if kind == "one":
         acc = 1
+    elif kind == "block edges":
+        nwords = (bound + 64) // 64
+        b = represent._pair_block(nwords)
+        acc = sum(3 << (edge - 1) for edge in range(b, 64 * nwords, b)) & full | 1
     elif kind == "sparse":
         acc = sum(1 << rng.randrange(bound + 1) for _ in range(5))
     elif kind == "dense":
@@ -143,15 +148,25 @@ def step_accs(draw, bound):
 def test_word_step_matches_bigint_step(data, m, a, domain, bound):
     """The word path of the step, and the step itself, against the big-int
     loop; the word path also with its switch to gap tests taken at the first
-    check that lists the gaps (cost 0) and never taken (cost huge).  Sparse
-    accumulators (acc = 1 among them) go through the word path too."""
+    check that lists the gaps (cost 0) and never taken (cost huge), each
+    with its switch to pair sums taken as the cost model says, never (cost
+    huge) and, for an acc with at most 2^20 pairs, always (cost tiny), and
+    with the ORs in blocks of a drawn size.  Sparse accumulators (acc = 1
+    among them) go through the word path too."""
     acc = data.draw(step_accs(bound))
     values = polygonal_values(m, bound // a, domain)
     want = _shift_or_int(acc, a, values, bound)
     words = words_of(acc, bound)
-    for cost in (0, represent._GAP_TEST_COST, 10**12):
-        with mock.patch.object(represent, "_GAP_TEST_COST", cost):
-            assert int.from_bytes(_shift_or_words(words, a, values, bound).tobytes(), "little") == want
+    steps = a * np.asarray(values, dtype=np.int64)
+    pairs = represent._pair_count(represent._set_bits(words, bound), steps, bound)
+    pair_costs = [represent._PAIR_COST, 10**12] + ([1e-9] if pairs <= 1 << 20 else [])
+    for gap_cost in (0, represent._GAP_TEST_COST, 10**12):
+        for pair_cost in pair_costs:
+            with mock.patch.multiple(represent, _GAP_TEST_COST=gap_cost, _PAIR_COST=pair_cost):
+                assert int.from_bytes(_shift_or_words(words, a, values, bound).tobytes(), "little") == want
+    or_block = data.draw(st.sampled_from([1, 3, 64]))
+    with mock.patch.multiple(represent, _PAIR_COST=10**12, _OR_BLOCKED_FROM=0, _OR_BLOCK=or_block):
+        assert int.from_bytes(_shift_or_words(words, a, values, bound).tobytes(), "little") == want
     vector = acc if bound < _WORD_SIEVE_MIN_BOUND else words
     assert acc_bits(_sieve_step(vector, m, a, domain, bound), bound) == want
 
@@ -667,11 +682,14 @@ def test_step_order_is_a_permutation(m, coeffs, domain, bound, branch):
 
 
 def test_step_order_puts_a_dense_sub_form_first():
-    # <1,2,4,4>_9 is dense from 2^17 up, so the second 1, the costliest
-    # step, comes after it; <1,4,4> turns dense on its last step, 2
-    assert represent._step_order(9, (1, 1, 2, 4, 4), Domain.NONNEG, 1 << 19) == (1, 4, 4, 2, 1)
+    # <1,1,3,6>_9 is dense at 2^19: the second 1 makes pair sums right after
+    # the first (each pair once), its costliest other step, 3, comes last,
+    # and the second 3 runs on a dense input (0.47 of the ascending time)
+    assert represent._step_order(9, (1, 1, 3, 3, 6), Domain.NONNEG, 1 << 19) == (1, 1, 6, 3, 3)
     with mock.patch.object(represent, "_PLAN_MARGIN", 0.0):
-        assert represent._step_order(9, (1, 1, 2, 4, 4), Domain.NONNEG, 1 << 19) == (1, 1, 2, 4, 4)
+        assert represent._step_order(9, (1, 1, 3, 3, 6), Domain.NONNEG, 1 << 19) == (1, 1, 3, 3, 6)
+    # its plans, such as (1, 9, 8, 2, 4), sieved 1.5x slower than ascending
+    assert represent._step_order(12, (1, 2, 4, 8, 9), Domain.NONNEG, 1 << 19) == (1, 2, 4, 8, 9)
     # a congruence obstruction leaves no sub-form dense: ascending
     assert represent._step_order(9, (4, 9, 9), Domain.NONNEG, 1 << 19) == (4, 9, 9)
     assert represent._step_order(5, (3, 6, 6), Domain.INT, 1 << 22) == (3, 6, 6)
@@ -763,6 +781,68 @@ def test_solve_system_examples():
     w = solve_system(SystemInstance(f, 2, 0), Domain.INT)
     assert w is not None and sorted(w) == [-1, 1]
     assert solve_system(SystemInstance(f, 2, 0), Domain.NONNEG) is None
+
+
+def solve_system_unpruned(inst, domain):
+    """`solve_system`'s search with only its real-feasibility prune: the
+    same variables, candidates and closed form in the same order, so the
+    same first witness, or None."""
+    coeffs, n = inst.form.coeffs, inst.form.rank
+    nonneg = domain is Domain.NONNEG
+    if n == 1:
+        a = coeffs[0]
+        x = inst.beta // a
+        ok = inst.beta % a == 0 and a * x * x == inst.alpha and (not nonneg or x >= 0)
+        return (x,) if ok else None
+    xs = [0] * n
+
+    def feasible(free, alpha_rem, beta_rem):
+        if alpha_rem < 0 or nonneg and beta_rem < 0:
+            return False
+        return beta_rem * beta_rem <= sum(coeffs[:free]) * alpha_rem
+
+    def dfs(i, alpha_rem, beta_rem):
+        if i == 1:
+            for x0, x1 in represent._two_var_solutions(coeffs[0], coeffs[1], alpha_rem, beta_rem):
+                if not nonneg or x0 >= 0 and x1 >= 0:
+                    xs[0], xs[1] = x0, x1
+                    return True
+            return False
+        a = coeffs[i]
+        top = math.isqrt(alpha_rem // a)
+        if nonneg:
+            candidates = range(min(top, beta_rem // a), -1, -1)
+        else:
+            candidates = sorted(range(-top, top + 1), key=lambda x: (-abs(x), -x))
+        for x in candidates:
+            ar, br = alpha_rem - a * x * x, beta_rem - a * x
+            if feasible(i, ar, br) and dfs(i - 1, ar, br):
+                xs[i] = x
+                return True
+        return False
+
+    return tuple(xs) if feasible(n, inst.alpha, inst.beta) and dfs(n - 1, inst.alpha, inst.beta) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    st.data(),
+    st.integers(0, 3),
+    st.integers(-1, 1),
+    st.sampled_from(list(Domain)),
+)
+def test_solve_system_prunes_keep_the_unpruned_witness(coeffs, data, dalpha, dbeta, domain):
+    """The exact prunes (alpha >= beta, the gcd of the free coefficients
+    dividing beta, twice it alpha - beta) cut only subtrees with no
+    solution: the same witness, or None, as the unpruned search, on systems
+    with a solution and a little off one."""
+    form = MgonalForm.make(5, coeffs)
+    xs = data.draw(st.lists(st.integers(-6, 8), min_size=form.rank, max_size=form.rank))
+    alpha = sum(a * x * x for a, x in zip(form.coeffs, xs)) + dalpha
+    beta = abs(sum(a * x for a, x in zip(form.coeffs, xs)) + dbeta)
+    inst = SystemInstance(form, alpha, beta)
+    assert solve_system(inst, domain) == solve_system_unpruned(inst, domain)
 
 
 def test_solve_system_witnesses_verify():

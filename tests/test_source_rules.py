@@ -131,3 +131,19 @@ def test_only_the_full_sieve_plans_its_step_order():
         if isinstance(node, ast.Name) and node.id == "_step_order"
     }
     assert users == {"represented_set"}
+
+
+def test_pair_sums_only_inside_the_word_step():
+    # one sieve primitive: `_sieve_step`, the escalator's tree path and the
+    # suffix masks reach the pair sums through `_shift_or_words`, never on
+    # their own
+    assert private_uses("represent.py", {"_pair_sums"}) == []
+    tree = ast.parse((Path(mgonal.__file__).parent / "represent.py").read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pair_sums"
+    }
+    assert callers == {"_shift_or_words"}
