@@ -45,12 +45,19 @@ def cache_file_name(form: MgonalForm, domain: Domain, bound: int) -> str:
 
 
 def _cache_candidates(cache_dir: Path, form: MgonalForm, domain: Domain) -> list[tuple[int, Path]]:
+    """(bound, path) of the files prefix*.bin of one key whose last dash
+    field is a bound, ascending: one directory scan, without the pattern
+    that `Path.glob` compiles on every call."""
+    prefix = _cache_prefix(form, domain)
     out = []
-    for p in cache_dir.glob(f"{_cache_prefix(form, domain)}*.bin"):
-        try:
-            out.append((int(p.stem.rsplit("-", 1)[1]), p))
-        except ValueError:
-            continue
+    with os.scandir(cache_dir) as entries:
+        for entry in entries:
+            name = entry.name
+            if name.startswith(prefix) and name.endswith(".bin"):
+                try:
+                    out.append((int(name[:-4].rsplit("-", 1)[1]), cache_dir / name))
+                except ValueError:
+                    continue
     return sorted(out)
 
 

@@ -22,6 +22,7 @@ once per form, in `_LocalCheck`, and shared with the exceptions audit.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -275,6 +276,7 @@ class _LocalCheck:
         g = form.coeff_gcd
         self.coeffs = tuple(c // g for c in form.coeffs)
         self.low_rank = form.rank <= 2
+        self.target_map: _PrimeMap | None = None
 
     @cached_property
     def maps(self) -> dict[int, _PrimeMap]:
@@ -294,6 +296,14 @@ class _LocalCheck:
             return reason, pa, (m - 2) // 2 * unit, s * unit * unit * ((m - 4) // 4) ** 2
         return reason, pa, 0, 0
 
+    def target_prime_map(self, p: int) -> _PrimeMap:
+        """The map of a per-target prime p of a rank <= 2 form.  Such a
+        prime is odd and divides neither m - 2 nor g, so they all share one
+        map, worked out once."""
+        if self.target_map is None:
+            self.target_map = self.prime_map(p)
+        return self.target_map
+
     def holds(self, n: int, p: int, prime_map: _PrimeMap) -> bool:
         _, pa, scale, shift = prime_map
         if n % pa:
@@ -306,17 +316,21 @@ class _LocalCheck:
             primes = sorted(set(primes) | set(_extra_primes_low_rank(self.form, n, set(primes))))
         verdicts = {}
         for p in primes:
-            prime_map = self.maps[p] if p in self.maps else self.prime_map(p)
+            prime_map = self.maps[p] if p in self.maps else self.target_prime_map(p)
             verdicts[p] = LocalVerdict(p, self.holds(n, p, prime_map), prime_map[0])
         return LocalProfile(self.form, n, verdicts, all(v.represented for v in verdicts.values()))
 
     def represented(self, n: int) -> bool:
-        """`profile(n).overall`, stopping at the first prime that fails."""
-        if self.low_rank:
-            return self.profile(n).overall
+        """`profile(n).overall`, stopping at the first prime that fails; a
+        form of rank <= 2 factors its target only when every relevant prime
+        holds."""
         for p, prime_map in self.maps.items():
             if not self.holds(n, p, prime_map):
                 return False
+        if self.low_rank and n > 0:
+            for p in _extra_primes_low_rank(self.form, n, self.maps.keys()):
+                if not self.holds(n, p, self.target_prime_map(p)):
+                    return False
         return True
 
 
@@ -350,7 +364,7 @@ def relevant_primes(form: MgonalForm) -> list[int]:
     return _prime_factors(2 * (form.m - 2) * math.prod(form.coeffs))
 
 
-def _extra_primes_low_rank(form: MgonalForm, n: int, skip: set[int]) -> list[int]:
+def _extra_primes_low_rank(form: MgonalForm, n: int, skip: Collection[int]) -> list[int]:
     """Per-target obstruction primes for forms of rank 1 or 2.
 
     An all-unit diagonal form of rank <= 2 can still miss targets at primes

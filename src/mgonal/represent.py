@@ -24,16 +24,17 @@ one form from the first step to the last: a big int below the measured break-eve
 `_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's fixed cost per call would
 dominate and the step is a loop of big-int shifts and ORs over the values as
 Python ints; little-endian numpy uint64 words from there up, where shifted
-copies of acc are ORed in place, grouped by shift residue mod 64, past
-2^23 bits block by block over the output (`_shift_or_words`).  Once the
-output's gaps are few (at once when acc is dense, as in the last steps of
-most sieves, or after a few groups) and testing them is cheaper than ORing
-on, the shifts left are tested on the gaps instead, each gap only against
-the shifts below it, and the output is all ones but the gaps no shift
-fills.  An acc with few set bits, as in the step right after the first
-coefficient, is not ORed at all: the output is made from the pair sums of
-its bits and the shifts (`_pair_sums`) when a cost model of pairs against
-word ORs says that is cheaper.
+copies of acc are ORed in place at byte offsets, the shifts in ascending
+bands of doubling size and within a band grouped by residue mod 8 (one
+bit-shifted copy of acc each), past 2^23 bits block by block over the
+output (`_shift_or_words`).  Once the output's gaps are few (at once when
+acc is dense, as in the last steps of most sieves, or after a few bands)
+and testing them is cheaper than ORing on, the shifts left are tested on
+the gaps instead, each gap only against the shifts below it, and the
+output is all ones but the gaps no shift fills.  An acc with few set bits,
+as in the step right after the first coefficient, is not ORed at all: the
+output is made from the pair sums of its bits and the shifts (`_pair_sums`)
+when a cost model of pairs against word ORs says that is cheaper.
 
 `represented_set` sieves its steps in a planned order (`_step_order`): a
 sumset is the same in any order, but a step costs next to nothing once its
@@ -202,19 +203,25 @@ class SystemInstance:
 # and at 2^19-2^21 bits the word path is 3-10x faster.
 _WORD_SIEVE_MIN_BOUND = 1 << 17
 
-# The word path checks the output so far before its 1st, 2nd, 4th, 8th, ...
-# residue group.  Once it has at most one gap per this many bits, it lists
-# them and may finish the step on them.  512 is the smallest spacing at which
-# listing them unpacks no more bytes than the words hold (and the gaps' int64
-# array is an eighth of that); the global_sieve benchmark's sieves took the
-# same time, within noise, at spacings from 256 to 2048.
+# The word path checks the output so far before each band of shifts.  Once
+# it has at most one gap per this many bits, it lists them and may finish
+# the step on them.  512 is the smallest spacing at which listing them
+# unpacks no more bytes than the words hold (and the gaps' int64 array is an
+# eighth of that); the global_sieve benchmark's sieves took the same time,
+# within noise, at spacings from 256 to 2048.
 _GAP_SPACING = 512
 
 # Testing one gap against one shift costs about as much as ORing this many
-# words (measured 50-80, with gaps that no shift fills, at 2^19 and 2^22
-# bits).  The word path finishes on the gaps when the tests left, each gap
+# words.  The word path finishes on the gaps when the tests left, each gap
 # against every shift left below it, cost less than ORing the shifts left;
 # then even gaps that no shift fills cost no more than ORing every shift.
+# Measured on the word steps of the global_sieve batches (seeds 1-3, 2^19-
+# 2^22 bits, one core), where an OR at 2^19 bits takes about 0.5 ns a
+# word: 5.7 ns a counted pair in the steps that make a ternary sub-form,
+# most of whose gaps no shift fills, 14 ns in the next, and 60 ns in the
+# last, which test few pairs, so the fixed cost of a numpy call weighs
+# most.  Those steps took the same time within 3% with 16, 32 and 64 here,
+# and 5% more with 128.
 _GAP_TEST_COST = 64
 
 # Making one pair sum p + s, for p a set bit of acc and s a shift, costs
@@ -233,9 +240,22 @@ _PAIR_BLOCK_BITS = 1 << 18
 # peak memory rose by about 0.2 MB.
 _PAIR_MATRIX = 1 << 12
 
+# The OR path takes its shifts in ascending bands of this many, then twice
+# as many, and so on, and checks the output's gaps before each.  On the
+# global_sieve batches' word steps, 8, 16 and 32 took the same time within
+# 2%; with 8 the steps whose output turns dense end on their gaps after
+# about 60 shifts.
+_FIRST_BAND = 8
+# A band must divide the output's gaps by at least this much; once one does
+# not, the output stays gappy, and the shifts left run as one band: a step
+# that ORs every shift makes at most seven copies after its first bands.
+_BAND_GAIN = 2
+
 # Past this many words (2^23 bits) the OR path walks its output in blocks
 # of `_OR_BLOCK` words (256 KB), each of which takes every shift of a
-# residue group while it is in cache.
+# residue group of a band while it is in cache; the group's shifted copy of
+# acc is made block by block along the walk, so it is written while in
+# cache too, and its carry temporary takes one block.
 _OR_BLOCKED_FROM = 1 << 17
 _OR_BLOCK = 1 << 15
 
@@ -261,16 +281,21 @@ def _shift_or_words(words: np.ndarray, a: int, values: Sequence[int], bound: int
     lower half of the words pairs with at least the shifts up to about
     bound/2, so a dense acc is turned away before its bits are listed.
 
-    Otherwise the output starts as acc (the v = 0 term).  The other shifts
-    are grouped by residue mod 64, largest group first: one bit-shifted copy
-    of acc per residue, then one word-aligned in-place OR per shift, past
-    `_OR_BLOCKED_FROM` words block by block over the output.  Before the
-    1st, 2nd, 4th, 8th, ... group the output is checked: once it has at
-    most one gap per `_GAP_SPACING` bits and testing them costs less than
-    ORing on (`_GAP_TEST_COST`), the shifts left are tested on those gaps
-    instead (`_unfilled`), and the output is all ones but the gaps none of
-    them fills.  A dense acc is never ORed at all; a sparse one fills up
-    after a few groups.
+    Otherwise the output starts as acc (the v = 0 term), and the other
+    shifts s are ORed in ascending order, in bands of `_FIRST_BAND`, twice
+    as many, four times as many, ... shifts: the small shifts come first, as
+    they cover the whole output.  Within a band the shifts are grouped by
+    r = s mod 8: one copy of acc shifted by r bits per residue, at most seven
+    a band, then one in-place OR per shift at the byte offset s >> 3, past
+    `_OR_BLOCKED_FROM` words block by block over the output, the copy made
+    block by block along the walk.  Before each band the output is checked:
+    once it has at most one gap per `_GAP_SPACING` bits and testing them
+    costs less than ORing on (`_GAP_TEST_COST`), the shifts left are tested
+    on those gaps instead (`_unfilled`, with the OR path's two arrays freed
+    first), and the output is all ones but the gaps none of them fills.  Once a band fails to halve the gaps
+    (`_BAND_GAIN`), the shifts left run as one band, with at most seven
+    more copies.  A dense acc is never ORed at all; a sparse one whose
+    output turns dense ends on its gaps after a few bands.
     """
     nwords = words.size
     steps = a * np.asarray(values, dtype=np.int64)  # 0 and the shifts, ascending
@@ -283,53 +308,59 @@ def _shift_or_words(words: np.ndarray, a: int, values: Sequence[int], bound: int
         if pos is not None and _pair_count(pos, steps, bound) * _PAIR_COST < ors:
             return _mask_tail(_pair_sums(pos, steps, bound, nwords), bound)
     out = words.copy()
-    shifted = np.empty(nwords, dtype="<u8")  # a shifted copy of acc, or ~out
+    shifted = np.empty(nwords, dtype="<u8")  # a bit-shifted copy of acc, or ~out
+    block = 8 * _OR_BLOCK if nwords > _OR_BLOCKED_FROM else 8 * nwords
+    most = 64 * nwords // _GAP_SPACING
+    i, width, before = 0, _FIRST_BAND, None
+    while i < shifts.size:
+        np.invert(out, out=shifted)
+        held = int(np.bitwise_count(shifted).sum())  # out's gaps, and the bits past bound
+        if held <= most:
+            gaps = _set_bits(shifted, bound)
+            rest = shifts[i:]
+            if int(np.searchsorted(rest, gaps, side="right").sum()) * _GAP_TEST_COST <= rest.size * nwords:
+                break
+        if before is not None and held * _BAND_GAIN > before:
+            width = shifts.size  # the rest in one band
+        before = held
+        _or_band(out, words, shifted, shifts[i : i + width], block)
+        i += width
+        width *= 2
+    else:
+        return _mask_tail(out, bound)
+    del out, shifted  # the step ends on the gaps, which need neither
+    filled = _words_with_bits(_unfilled(words, gaps, rest), nwords)
+    return _mask_tail(np.invert(filled, out=filled), bound)
 
-    def on_gaps(done: list[int]) -> np.ndarray | None:
-        """The step's words from out's gaps and the shifts whose residue is
-        not in done, or None while that would cost more than ORing them."""
-        gaps = _set_bits(np.invert(out, out=shifted), bound, most=64 * nwords // _GAP_SPACING)
-        if gaps is None:
-            return None
-        rest = shifts[~np.isin(shifts & 63, done)]
-        if int(np.searchsorted(rest, gaps, side="right").sum()) * _GAP_TEST_COST > rest.size * nwords:
-            return None
-        filled = _words_with_bits(_unfilled(words, gaps, rest), nwords)
-        return _mask_tail(np.invert(filled, out=filled), bound)
 
-    got = on_gaps([])
-    if got is not None:
-        return got
-    by_residue: dict[int, list[int]] = {}
-    for s in shifts.tolist():
-        q, r = divmod(s, 64)
-        by_residue.setdefault(r, []).append(q)
-    groups = sorted(by_residue.items(), key=lambda group: -len(group[1]))
-    for k, (r, qs) in enumerate(groups):
-        if k & (k + 1) == 0 and k:  # k = 1, 3, 7, ...
-            got = on_gaps([done for done, _ in groups[:k]])
-            if got is not None:
-                return got
-        if r:
-            np.left_shift(words, r, out=shifted)
-            shifted[1:] |= words[:-1] >> (64 - r)  # bits carried up from the word below
-            sh = shifted
-        else:
-            sh = words
-        if nwords <= _OR_BLOCKED_FROM:
-            for q in qs:
-                out[q:] |= sh[: nwords - q]
+def _or_band(out: np.ndarray, words: np.ndarray, shifted: np.ndarray, band: np.ndarray, block: int) -> None:
+    """OR words << s into out in place for each shift s of one band: per
+    residue r = s mod 8, words shifted by r bits into shifted, then one OR
+    per shift at the byte offset s >> 3, in blocks of `block` bytes over
+    the output, each taking the residue's shifts while it is in cache, with
+    the shifted copy made block by block as the walk reaches it."""
+    by_residue: list[list[int]] = [[] for _ in range(8)]
+    for s in band.tolist():
+        by_residue[s & 7].append(s >> 3)
+    out8, n8 = out.view(np.uint8), 8 * out.size
+    for r, qs in enumerate(by_residue):
+        if not qs:
             continue
-        for lo in range(0, nwords, _OR_BLOCK):  # each block takes every shift while in cache
-            hi = min(lo + _OR_BLOCK, nwords)
+        sh = (shifted if r else words).view(np.uint8)
+        for lo in range(0, n8, block):
+            hi = min(lo + block, n8)
+            if r:
+                w0, w1 = lo >> 3, hi >> 3
+                np.left_shift(words[w0:w1], r, out=shifted[w0:w1])
+                w0 = max(w0, 1)
+                shifted[w0:w1] |= words[w0 - 1 : w1 - 1] >> (64 - r)  # bits carried up from the word below
             for q in qs:  # ascending
                 if q >= hi:
                     break
                 if q <= lo:
-                    out[lo:hi] |= sh[lo - q : hi - q]
+                    out8[lo:hi] |= sh[lo - q : hi - q]
                 else:
-                    out[q:hi] |= sh[: hi - q]
-    return _mask_tail(out, bound)
+                    out8[q:hi] |= sh[: hi - q]
 
 
 def _pair_count(pos: np.ndarray, steps: np.ndarray, bound: int) -> int:
@@ -402,23 +433,31 @@ def _pair_sums(pos: np.ndarray, steps: np.ndarray, bound: int, nwords: int) -> n
 def _unfilled(words: np.ndarray, gaps: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """The gaps g that no shift fills: no s <= g in shifts has bit g - s set in words.
 
-    shifts are ascending and positive.  The gaps are tested against blocks
-    of shifts in ascending order, dropping each gap as soon as it is filled;
-    shifts above the largest gap left are never tested.  A block holds at
-    most a quarter as many (gap, shift) pairs as there are words, so its few
-    int64 temporaries together take about as much room as the words.
+    gaps and shifts are ascending, and shifts positive.  The gaps are
+    tested against blocks of shifts in ascending order, dropping each gap as
+    soon as it is filled and setting aside those below the block's first
+    shift, which no shift left can fill: a gap meets only the shifts below
+    it, so the tests made are about the (gap, shift) pairs that the word
+    step counts.  A block holds at most a quarter as many pairs as there are
+    words, so its few int64 temporaries together take about as much room as
+    the words.
     """
+    kept = []  # gaps below the shifts left: none of those fills them
     i = 0
-    while gaps.size:
-        end = int(np.searchsorted(shifts, gaps[-1], side="right"))
-        if i >= end:
+    while i < shifts.size:
+        low = int(np.searchsorted(gaps, shifts[i]))
+        if low:
+            kept.append(gaps[:low].copy())  # a view would keep all of these gaps alive
+            gaps = gaps[low:]
+        if not gaps.size:
             break
-        block = shifts[i : min(end, i + max(1, words.size // 4 // gaps.size))]
+        block = shifts[i : i + max(1, words.size // 4 // gaps.size)]
         i += block.size
         src = gaps[:, None] - block
         got = np.take(words, src >> 6, mode="clip") >> (src & 63).astype(np.uint64)
         gaps = gaps[~((src >= 0) & (got & np.uint64(1) != 0)).any(axis=1)]
-    return gaps
+    kept.append(gaps)
+    return np.concatenate(kept)
 
 
 def _mask_tail(words: np.ndarray, bound: int) -> np.ndarray:
@@ -563,11 +602,13 @@ def _check_bound(bound: int, cap: int = DEFAULT_BOUND_CAP) -> None:
 # --- the order of the sieve steps -------------------------------------------
 
 # The figures below compare the plans' sieves with the ascending ones on the
-# 392 sieves the global_sieve benchmark's batches make at seeds 41-44 (bounds
-# 2^19-2^22, in process, each order the best of 7 runs on one core of a
+# 400 sieves the global_sieve benchmark's batches make at seeds 41-44 (bounds
+# 2^19-2^22, in process, each order the best of 5 runs on one core of a
 # 2-vCPU machine, planning not counted), both with the step right after the
-# first coefficient on pair sums: 0.89 of the time with these settings, and
-# 9 sieves more than 10% slower, most of them sieves of 2-3 ms.
+# first coefficient on pair sums and the OR path in ascending bands: 0.89
+# and 0.90 of the time in two runs with these settings, with 0 and 1 sieves
+# more than 10% slower.  One run of all 400 moves by about 2% from the
+# next, so settings closer than that are not told apart.
 
 # The pilot sieves sub-forms exactly on [0, 2^11]; on 2^10 bits its plans
 # took 0.90 of the time (15 sieves more than 10% slower), for 10-25% less
@@ -576,19 +617,21 @@ _PILOT_BITS = 1 << 11
 # The plan lists all 2^(rank-1) - 1 sub-forms that hold the first
 # coefficient; past this rank the steps keep their ascending order.
 _PLAN_MAX_RANK = 6
-# A word step's cost, counted in shifts ORed: one per value, and per residue
-# group one bit-shifted copy of acc, which costs about as much as ORing this
-# many shifts (measured 3.5-4 at 2^19 bits).  Without it the plans took
-# 0.92 of the time and 20 sieves ran more than 10% slower; with 8, 0.88 and
-# 9.
-_SHIFTED_COPY_COST = 4
+# A word step's cost, counted in shifts ORed: one per value, and per band
+# one bit-shifted copy of acc per residue mod 8 of its shifts, which costs
+# about as much as ORing this many shifts (measured 2.6 at 2^19 bits and
+# 2.9 at 2^22).  With 2 the plans took 0.91 of the time and 5 sieves ran
+# more than 10% slower; with 4, 0.89 and 2.
+_SHIFTED_COPY_COST = 3
 # The share of its cost a step pays when its output turns dense, so that it
-# ends on the gaps after a few residue groups.  Measured, such steps pay
-# 0.2-1.1 (median 0.56, more when their input is sparse or the gaps no
-# shift fills are many).  With 0.1 here the plans took 0.87 of the time,
-# but 29 sieves ran more than 10% slower; with 0.25, 0.87 and 20; with 1,
-# 0.92 and 5.  With 0.25 or less, <1,2,4,8,9>_12 at 2^19 is planned as
-# (1, 9, 8, 2, 4), which sieves 1.5x slower than ascending.
+# ends on the gaps after a few bands.  Measured on the global_sieve
+# batches' word steps (seeds 1-3) against the same step ORing every shift,
+# such steps pay 0.22-1.2 (median 0.66, 0.59 of their summed time; the
+# full step pays for its bands too).  With 0.25 here the plans took 0.88
+# of the time, but 6 sieves ran more than 10% slower; with 0.75, 0.91 and
+# none.  With 0.25 or less, <1,2,4,8,9>_12 at 2^19 is planned as
+# (1, 9, 8, 2, 4), which sieves 1.05-1.08x the ascending time (1.5x with
+# the OR path in residue groups mod 64).
 _DENSE_OUTPUT_SHARE = 0.5
 # A planned order is taken only when its modelled cost is at most this share
 # of the ascending order's: with 1, the plans took 0.84 of the time, but 22
@@ -610,24 +653,26 @@ _PILOTS: dict[tuple[int, bool, tuple[int, ...]], tuple[int, int, float, int | No
 _PILOTS_MAX = 256
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=16)
 def _polygonal_residues(m: int) -> frozenset[int]:
-    """The residues mod 64 of P_m(x), for m mod 128: they have period 128 in
+    """The residues mod 8 of P_m(x), for m mod 16: they have period 16 in
     x, so they are the same over N_0 and over Z."""
-    return frozenset(((m - 2) * x * x - (m - 4) * x) // 2 & 63 for x in range(128))
+    return frozenset(((m - 2) * x * x - (m - 4) * x) // 2 & 7 for x in range(16))
 
 
-@functools.lru_cache(maxsize=1 << 12)
+@functools.lru_cache(maxsize=128)
 def _shift_residues(m: int, a: int) -> int:
-    """How many nonzero residues mod 64 the shifts a*P_m(x) take, for m mod
-    128 and a mod 64."""
-    return len({a * r & 63 for r in _polygonal_residues(m)} - {0})
+    """How many nonzero residues mod 8 the shifts a*P_m(x) take, for m mod
+    16 and a mod 8: the most bit-shifted copies of acc a band makes."""
+    return len({a * r & 7 for r in _polygonal_residues(m)} - {0})
 
 
 def _step_cost(m: int, a: int, domain: Domain, bound: int) -> int:
-    """A word step's cost with coefficient a when it ORs every shift."""
+    """A word step's cost with coefficient a when it ORs every shift, in
+    bands of `_FIRST_BAND`, twice as many, ... shifts."""
     shifts = _value_count(m, bound // a, domain) - 1
-    return shifts + _SHIFTED_COPY_COST * min(shifts, _shift_residues(m & 127, a & 63))
+    bands = (-(-shifts // _FIRST_BAND)).bit_length()
+    return shifts + _SHIFTED_COPY_COST * min(shifts, bands * _shift_residues(m & 15, a & 7))
 
 
 @functools.lru_cache(maxsize=1 << 10)

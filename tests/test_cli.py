@@ -400,6 +400,35 @@ def test_cached_parser_survives_usage_errors(capsys):
 
 
 class TestCacheLayer:
+    def test_candidates_are_the_key_files_with_a_bound(self, tmp_path):
+        # the listing matches the glob of prefix*.bin, parsed as before, in
+        # the same order: a stray temporary file, another key's file and a
+        # name whose bound does not parse are left out
+        f, other = MgonalForm.make(6, [1, 2]), MgonalForm.make(6, [1, 3])
+        prefix = cli.cache_file_name(f, Domain.NONNEG, 0)[: -len("0.bin")]
+        names = [
+            cli.cache_file_name(f, Domain.NONNEG, 900),
+            cli.cache_file_name(f, Domain.NONNEG, 40),
+            cli.cache_file_name(f, Domain.INT, 500),
+            cli.cache_file_name(other, Domain.NONNEG, 300),
+            f"{prefix}7x.bin",
+            f"{prefix}1-60.bin",
+            f"{prefix}70.bin.tmp",
+            f"{prefix}80.tmp",
+            "tmpab12cd.tmp",
+        ]
+        for name in names:
+            (tmp_path / name).write_bytes(b"")
+        old = []
+        for p in tmp_path.glob(f"{prefix}*.bin"):
+            try:
+                old.append((int(p.stem.rsplit("-", 1)[1]), p))
+            except ValueError:
+                continue
+        got = cli._cache_candidates(tmp_path, f, Domain.NONNEG)
+        assert got == sorted(old)
+        assert [(bound, p.name) for bound, p in got] == [(40, names[1]), (60, names[5]), (900, names[0])]
+
     def test_round_trip_bit_exact(self, tmp_path):
         f = MgonalForm.make(6, [1, 2])
         first = load_or_build_set(f, 500, Domain.NONNEG, tmp_path)

@@ -510,6 +510,17 @@ class TestFormCheck:
         for p, (ok, reason) in want[0].items():
             assert mgonal_represents_zp(form, n, p) == local.LocalVerdict(p, ok, reason)
 
+    @pytest.mark.parametrize(
+        "m, coeffs",
+        [(3, [1]), (4, [2]), (5, [3]), (9, [6]), (4, [1, 1]), (5, [1, 2]), (7, [1, 1]), (8, [2, 6]), (6, [3, 5]), (12, [4, 10])],
+    )
+    def test_low_rank_verdict_stops_early_with_the_profile_verdict(self, m, coeffs):
+        # rank <= 2: the per-target primes are checked only once the
+        # relevant ones hold, all through one shared map
+        form = MgonalForm.make(m, coeffs)
+        check = local._LocalCheck(form)
+        assert [n for n in range(3000) if check.represented(n)] == [n for n in range(3000) if check.profile(n).overall]
+
     def test_one_checker_per_form(self, monkeypatch):
         local._local_check.cache_clear()
         factored = []

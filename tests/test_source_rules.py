@@ -133,17 +133,28 @@ def test_only_the_full_sieve_plans_its_step_order():
     assert users == {"represented_set"}
 
 
+def represent_callers(name):
+    """The functions of represent.py, nested ones included, that call name."""
+    tree = ast.parse((Path(mgonal.__file__).parent / "represent.py").read_text())
+    return {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    }
+
+
 def test_pair_sums_only_inside_the_word_step():
     # one sieve primitive: `_sieve_step`, the escalator's tree path and the
     # suffix masks reach the pair sums through `_shift_or_words`, never on
     # their own
     assert private_uses("represent.py", {"_pair_sums"}) == []
-    tree = ast.parse((Path(mgonal.__file__).parent / "represent.py").read_text())
-    callers = {
-        fn.name
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pair_sums"
-    }
-    assert callers == {"_shift_or_words"}
+    assert represent_callers("_pair_sums") == {"_shift_or_words"}
+
+
+def test_gap_tests_only_inside_the_word_step():
+    # the gaps are tested against the shifts the word step has not ORed
+    # yet, which only it knows
+    assert private_uses("represent.py", {"_unfilled"}) == []
+    assert represent_callers("_unfilled") == {"_shift_or_words"}
