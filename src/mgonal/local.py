@@ -276,7 +276,6 @@ class _LocalCheck:
         g = form.coeff_gcd
         self.coeffs = tuple(c // g for c in form.coeffs)
         self.low_rank = form.rank <= 2
-        self.target_map: _PrimeMap | None = None
 
     @cached_property
     def maps(self) -> dict[int, _PrimeMap]:
@@ -296,13 +295,12 @@ class _LocalCheck:
             return reason, pa, (m - 2) // 2 * unit, s * unit * unit * ((m - 4) // 4) ** 2
         return reason, pa, 0, 0
 
-    def target_prime_map(self, p: int) -> _PrimeMap:
-        """The map of a per-target prime p of a rank <= 2 form.  Such a
-        prime is odd and divides neither m - 2 nor g, so they all share one
-        map, worked out once."""
-        if self.target_map is None:
-            self.target_map = self.prime_map(p)
-        return self.target_map
+    @cached_property
+    def target_map(self) -> _PrimeMap:
+        """`prime_map` of every per-target prime of a rank <= 2 form: such a
+        prime is odd and divides neither m - 2 nor g."""
+        m, g = self.form.m, self.form.coeff_gcd
+        return LocalReason.QUAD_REDUCTION_ODD, 1, 8 * (m - 2) * g, sum(self.coeffs) * g * g * (m - 4) ** 2
 
     def holds(self, n: int, p: int, prime_map: _PrimeMap) -> bool:
         _, pa, scale, shift = prime_map
@@ -316,7 +314,7 @@ class _LocalCheck:
             primes = sorted(set(primes) | set(_extra_primes_low_rank(self.form, n, set(primes))))
         verdicts = {}
         for p in primes:
-            prime_map = self.maps[p] if p in self.maps else self.target_prime_map(p)
+            prime_map = self.maps.get(p, self.target_map)
             verdicts[p] = LocalVerdict(p, self.holds(n, p, prime_map), prime_map[0])
         return LocalProfile(self.form, n, verdicts, all(v.represented for v in verdicts.values()))
 
@@ -329,7 +327,7 @@ class _LocalCheck:
                 return False
         if self.low_rank and n > 0:
             for p in _extra_primes_low_rank(self.form, n, self.maps.keys()):
-                if not self.holds(n, p, self.target_prime_map(p)):
+                if not self.holds(n, p, self.target_map):
                     return False
         return True
 

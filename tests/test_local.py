@@ -520,6 +520,8 @@ class TestFormCheck:
         form = MgonalForm.make(m, coeffs)
         check = local._LocalCheck(form)
         assert [n for n in range(3000) if check.represented(n)] == [n for n in range(3000) if check.profile(n).overall]
+        extra = {p for n in range(1, 3000) for p in local._extra_primes_low_rank(form, n, check.maps.keys())}
+        assert extra and all(check.prime_map(p) == check.target_map for p in extra)
 
     def test_one_checker_per_form(self, monkeypatch):
         local._local_check.cache_clear()

@@ -144,8 +144,8 @@ def step_accs(draw, bound):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(3, 12), st.integers(1, 8), st.sampled_from(list(Domain)), sieve_bounds(), st.booleans())
-def test_word_step_matches_bigint_step(data, m, a, domain, bound, word_edges):
+@given(st.data(), st.integers(3, 12), st.integers(1, 8), st.sampled_from(list(Domain)), sieve_bounds())
+def test_word_step_matches_bigint_step(data, m, a, domain, bound):
     """The word path of the step, and the step itself, against the big-int
     loop; the word path also with its switch to gap tests taken at the first
     check that lists the gaps (cost 0) and never taken (cost huge), each
@@ -155,37 +155,35 @@ def test_word_step_matches_bigint_step(data, m, a, domain, bound, word_edges):
     bands of 1, 3 and 8 shifts, each with its switch to one band for the
     rest taken as measured, at the first check and never, and with gap
     tests as the cost model says and never.  Sparse accumulators (acc = 1
-    among them) go through the word path too.  With word_edges the values
-    are not polygonal: the shifts lie on both sides of the first word edges
-    (a*v = 64k + d <= 600, |d| < 10), so byte offsets and bit residues
-    cross them."""
+    among them) go through the word path too.  Besides the polygonal
+    values, the word path takes shifts on both sides of the first word
+    edges (a*v = 64k + d <= 600, |d| < 10), so byte offsets and bit
+    residues cross them."""
     acc = data.draw(step_accs(bound))
-    if word_edges:
-        values = [0] + [v for v in range(1, min(bound // a, 600 // a) + 1) if abs((a * v + 32) % 64 - 32) < 10]
-    else:
-        values = polygonal_values(m, bound // a, domain)
-    want = _shift_or_int(acc, a, values, bound)
+    values = polygonal_values(m, bound // a, domain)
+    edges = [0] + [v for v in range(1, min(bound // a, 600 // a) + 1) if abs((a * v + 32) % 64 - 32) < 10]
     words = words_of(acc, bound)
-    steps = a * np.asarray(values, dtype=np.int64)
-    pairs = represent._pair_count(represent._set_bits(words, bound), steps, bound)
-    pair_costs = [represent._PAIR_COST, 10**12] + ([1e-9] if pairs <= 1 << 20 else [])
-    for gap_cost in (0, represent._GAP_TEST_COST, 10**12):
-        for pair_cost in pair_costs:
-            with mock.patch.multiple(represent, _GAP_TEST_COST=gap_cost, _PAIR_COST=pair_cost):
-                assert int.from_bytes(_shift_or_words(words, a, values, bound).tobytes(), "little") == want
-    for first_band in (1, 3, 8):
-        for band_gain in (represent._BAND_GAIN, 10**12, 0):  # as measured, at the first check, never
-            for gap_cost in (represent._GAP_TEST_COST, 10**12):
-                patched = {"_FIRST_BAND": first_band, "_BAND_GAIN": band_gain, "_GAP_TEST_COST": gap_cost}
-                with mock.patch.multiple(represent, _PAIR_COST=10**12, **patched):
-                    assert int.from_bytes(_shift_or_words(words, a, values, bound).tobytes(), "little") == want
-    or_block = data.draw(st.sampled_from([1, 3, 64]))
-    first_band = data.draw(st.sampled_from([1, 3, 8]))
-    with mock.patch.multiple(represent, _PAIR_COST=10**12, _OR_BLOCKED_FROM=0, _OR_BLOCK=or_block, _FIRST_BAND=first_band):
-        assert int.from_bytes(_shift_or_words(words, a, values, bound).tobytes(), "little") == want
-    if not word_edges:
-        vector = acc if bound < _WORD_SIEVE_MIN_BOUND else words
-        assert acc_bits(_sieve_step(vector, m, a, domain, bound), bound) == want
+    for shifts in (values, edges):
+        want = _shift_or_int(acc, a, shifts, bound)
+        steps = a * np.asarray(shifts, dtype=np.int64)
+        pairs = represent._pair_count(represent._set_bits(words, bound), steps, bound)
+        pair_costs = [represent._PAIR_COST, 10**12] + ([1e-9] if pairs <= 1 << 20 else [])
+        for gap_cost in (0, represent._GAP_TEST_COST, 10**12):
+            for pair_cost in pair_costs:
+                with mock.patch.multiple(represent, _GAP_TEST_COST=gap_cost, _PAIR_COST=pair_cost):
+                    assert int.from_bytes(_shift_or_words(words, a, shifts, bound).tobytes(), "little") == want
+        for first_band in (1, 3, 8):
+            for band_gain in (represent._BAND_GAIN, 10**12, 0):  # as measured, at the first check, never
+                for gap_cost in (represent._GAP_TEST_COST, 10**12):
+                    patched = {"_FIRST_BAND": first_band, "_BAND_GAIN": band_gain, "_GAP_TEST_COST": gap_cost}
+                    with mock.patch.multiple(represent, _PAIR_COST=10**12, **patched):
+                        assert int.from_bytes(_shift_or_words(words, a, shifts, bound).tobytes(), "little") == want
+        or_block = data.draw(st.sampled_from([1, 3, 64]))
+        first_band = data.draw(st.sampled_from([1, 3, 8]))
+        with mock.patch.multiple(represent, _PAIR_COST=10**12, _OR_BLOCKED_FROM=0, _OR_BLOCK=or_block, _FIRST_BAND=first_band):
+            assert int.from_bytes(_shift_or_words(words, a, shifts, bound).tobytes(), "little") == want
+    vector = acc if bound < _WORD_SIEVE_MIN_BOUND else words
+    assert acc_bits(_sieve_step(vector, m, a, domain, bound), bound) == _shift_or_int(acc, a, values, bound)
 
 
 @settings(max_examples=60, deadline=None)
