@@ -15,26 +15,31 @@ Three engines live here:
   sum a_i x_i^2 = alpha, sum a_i x_i = beta, the auxiliary system every
   representation of A*(m-2)+B with parameter k reduces to.
 
-Both sieves, the full set and the witness search's suffix masks, come from
-`_sieve_accs`: the first coefficient's values a*P_m(v) are written directly,
-and each further one applies `_sieve_step`: acc -> OR over v of
-acc << a*P_m(v), masked to [0, bound], with the values a read-only prefix
-of one int64 table per (m, domain) (`_step_values`).  The accumulator keeps
-one form from the first step to the last: a big int below the measured break-even
-`_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's fixed cost per call would
-dominate and the step is a loop of big-int shifts and ORs over the values as
-Python ints; little-endian numpy uint64 words from there up, where shifted
-copies of acc are ORed in place at byte offsets, the shifts in ascending
-bands of doubling size and within a band grouped by residue mod 8 (one
-bit-shifted copy of acc each), past 2^23 bits block by block over the
+Both sieves, the full set and the witness search's suffix masks, write the
+first coefficient's values a*P_m(v) directly, and each further one applies
+one sumset step: acc -> OR over v of acc << a*P_m(v), masked to [0, bound],
+with the values a read-only prefix of one int64 table per (m, domain)
+(`_step_values`).  The suffix masks, and the full set below the word path,
+come from `_sieve_accs`; the full set's word sieves from `_word_sieve`,
+which hands the first coefficient's values to the next step as the positions
+of its bits, never scattered into words to be listed back.  The accumulator
+keeps one form from the first step to the last: a big int below the measured
+break-even `_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's fixed cost per
+call would dominate and the step is a loop of big-int shifts and ORs over
+the values as Python ints; little-endian numpy uint64 words from there up,
+where shifted copies of acc are ORed in place at byte offsets, the shifts in
+ascending bands of doubling size and within a band grouped by residue mod 8
+(one bit-shifted copy of acc each), past 2^23 bits block by block over the
 output (`_shift_or_words`).  Once the output's gaps are few (at once when
-acc is dense, as in the last steps of most sieves, or after a few bands)
-and testing them is cheaper than ORing on, the shifts left are tested on
-the gaps instead, each gap only against the shifts below it, and the
-output is all ones but the gaps no shift fills.  An acc with few set bits,
-as in the step right after the first coefficient, is not ORed at all: the
-output is made from the pair sums of its bits and the shifts (`_pair_sums`)
-when a cost model of pairs against word ORs says that is cheaper.
+acc is dense, as in the last steps of most sieves, when they are counted and
+listed from acc itself before anything full-size is allocated, or after a
+few bands) and testing them is cheaper than ORing on, the shifts left are
+tested on the gaps instead, each gap only against the shifts below it, and
+the output is all ones but the gaps no shift fills.  An acc with few set
+bits, as in the step right after the first coefficient, is not ORed at all:
+the output is made from the pair sums of its bits and the shifts
+(`_pair_sums`) when a cost model of pairs against word ORs says that is
+cheaper.
 
 `represented_set` sieves its steps in a planned order (`_step_order`): a
 sumset is the same in any order, but a step costs next to nothing once its
@@ -47,6 +52,20 @@ gains most from pair sums right after the first coefficient, its costliest
 other step last; the order stays ascending unless the plan is modelled at
 most four fifths of the ascending cost.  The suffix masks and the escalator tree
 path keep their fixed order: they need those exact sub-forms.
+
+A word sieve of `represented_set` is resumable.  It keeps the chain of its
+last one (`_Chain`): form, domain, bound, step order and each step's
+accumulator, a dense one as the positions of its gaps.  A later sieve of the
+same form and domain, from the chain's bound B to a larger one, resumes it
+in the same order: each step takes the words below the one that holds bit
+B + 1 from the old accumulator and computes only the words from there on,
+the window (the pair sums that land in it, ORs over its words, or tests of its
+gaps against the whole input; the pair sums are priced against ORs over the
+window), so a cache extension, each `truant --escalate` doubling and each
+truant window past 2^17 sieves only the new range.  A bound no larger is cut
+from the kept set; a sieve of another form or domain drops the chain before
+it allocates anything.  Nothing outside the process's own sieves feeds the
+chain: a cache file is still checked against a sieve, never against itself.
 
 The set serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
 """
@@ -119,7 +138,7 @@ class RepresentedSet:
 
     def missing(self, start: int = 1) -> list[int]:
         """All non-represented integers in [start, bound], ascending."""
-        gaps = _set_bits(~np.frombuffer(self.words, dtype="<u8"), self.bound)
+        gaps = _clear_bits(np.frombuffer(self.words, dtype="<u8"), self.bound)
         return gaps[np.searchsorted(gaps, start) :].tolist()
 
     def truncated(self, bound: int) -> "RepresentedSet":
@@ -270,75 +289,115 @@ def _shift_or_int(acc: int, a: int, values: Sequence[int], bound: int) -> int:
     return out & ((1 << (bound + 1)) - 1)
 
 
-def _shift_or_words(words: np.ndarray, a: int, values: Sequence[int], bound: int) -> np.ndarray:
+def _shift_or_words(
+    words: np.ndarray | None,
+    a: int,
+    values: Sequence[int],
+    bound: int,
+    head: np.ndarray | None = None,
+    pos: np.ndarray | None = None,
+) -> np.ndarray:
     """The same OR on little-endian uint64 words (the MGRS body layout), for
     ascending values with values[0] = P_m(0) = 0; new words, zero past bound.
 
+    With head, the output's first head.size words, known already (from a
+    sieve to a smaller bound), are head: only the words from there on, the
+    window, are computed, from the whole of words.  With pos, the ascending
+    positions of the set bits of words, listed already, words may be None:
+    it is made from pos only if the step ORs.
+
     An acc with few set bits is not ORed at all: its bits p are listed and
-    the output is made from the pair sums p + a*v <= bound (`_pair_sums`),
-    when their count, from each bit's reach in the shifts, costs less
-    (`_PAIR_COST`) than ORing every shift over all words.  A bit in the
-    lower half of the words pairs with at least the shifts up to about
-    bound/2, so a dense acc is turned away before its bits are listed.
+    the window is made from the pair sums p + a*v that land in it
+    (`_pair_sums`), when their count, from each bit's reach in the shifts,
+    costs less (`_PAIR_COST`) than ORing every shift over the window's
+    words.  A bit in the lower half of the window pairs with at least the
+    shifts up to about half its length, so an acc dense there is turned
+    away before its bits are listed.
 
     Otherwise the output starts as acc (the v = 0 term), and the other
     shifts s are ORed in ascending order, in bands of `_FIRST_BAND`, twice
     as many, four times as many, ... shifts: the small shifts come first, as
     they cover the whole output.  Within a band the shifts are grouped by
     r = s mod 8: one copy of acc shifted by r bits per residue, at most seven
-    a band, then one in-place OR per shift at the byte offset s >> 3, past
-    `_OR_BLOCKED_FROM` words block by block over the output, the copy made
-    block by block along the walk.  Before each band the output is checked:
-    once it has at most one gap per `_GAP_SPACING` bits and testing them
-    costs less than ORing on (`_GAP_TEST_COST`), the shifts left are tested
-    on those gaps instead (`_unfilled`, with the OR path's two arrays freed
-    first), and the output is all ones but the gaps none of them fills.  Once a band fails to halve the gaps
-    (`_BAND_GAIN`), the shifts left run as one band, with at most seven
-    more copies.  A dense acc is never ORed at all; a sparse one whose
-    output turns dense ends on its gaps after a few bands.
+    a band, then one in-place OR per shift at the byte offset s >> 3 over
+    the window's words, past `_OR_BLOCKED_FROM` words block by block, the
+    copy made block by block along the walk.  Before each band the window
+    is checked, the first time on acc itself, before anything full-size is
+    allocated: once it has at most one gap per `_GAP_SPACING` bits and
+    testing them costs less than ORing on (`_GAP_TEST_COST`), the shifts
+    left are tested on those gaps instead (`_unfilled`, with the OR path's
+    two arrays freed first), and the window is all ones but the gaps none of
+    them fills.  Once a band fails to halve the gaps (`_BAND_GAIN`), the
+    shifts left run as one band, with at most seven more copies.  A dense
+    acc is never copied or ORed at all; a sparse one whose output turns
+    dense ends on its gaps after a few bands.
     """
-    nwords = words.size
+    nwords = (bound + 64) // 64
+    start = 0 if head is None else head.size
+    lo, span = 64 * start, nwords - start  # the window: its first bit, its words
     steps = a * np.asarray(values, dtype=np.int64)  # 0 and the shifts, ascending
     shifts = steps[1:]
-    ors = shifts.size * nwords
-    half = nwords // 2
-    low = int(np.searchsorted(steps, bound - 64 * half, side="right"))
-    if int(np.count_nonzero(words[:half])) * low * _PAIR_COST < ors:
-        pos = _set_bits(words, bound, most=ors // _PAIR_COST)
-        if pos is not None and _pair_count(pos, steps, bound) * _PAIR_COST < ors:
-            return _mask_tail(_pair_sums(pos, steps, bound, nwords), bound)
-    out = words.copy()
-    shifted = np.empty(nwords, dtype="<u8")  # a bit-shifted copy of acc, or ~out
+    ors = shifts.size * span
+    if pos is None:
+        half = span // 2
+        low = int(np.searchsorted(steps, bound - 64 * (start + half), side="right"))
+        if int(np.count_nonzero(words[start : start + half])) * low * _PAIR_COST < ors:
+            pos = _set_bits(words, bound, most=ors // _PAIR_COST)
+    if pos is not None and _pair_count(pos, steps, bound, lo) * _PAIR_COST < ors:
+        return _with_head(_pair_sums(pos, steps, bound, nwords, start), head, bound)
+    if words is None:
+        words = _words_with_bits(pos, nwords)
+    out = shifted = None  # the output is acc until the first band: nothing is allocated
     block = 8 * _OR_BLOCK if nwords > _OR_BLOCKED_FROM else 8 * nwords
-    most = 64 * nwords // _GAP_SPACING
+    most = 64 * span // _GAP_SPACING
     i, width, before = 0, _FIRST_BAND, None
     while i < shifts.size:
-        np.invert(out, out=shifted)
-        held = int(np.bitwise_count(shifted).sum())  # out's gaps, and the bits past bound
+        now = words if out is None else out
+        held = 64 * span - int(np.bitwise_count(now[start:]).sum())  # the window's gaps, and the bits past bound
         if held <= most:
-            gaps = _set_bits(shifted, bound)
+            gaps = _clear_bits(now, bound, start)
             rest = shifts[i:]
-            if int(np.searchsorted(rest, gaps, side="right").sum()) * _GAP_TEST_COST <= rest.size * nwords:
+            if int(np.searchsorted(rest, gaps, side="right").sum()) * _GAP_TEST_COST <= rest.size * span:
                 break
         if before is not None and held * _BAND_GAIN > before:
             width = shifts.size  # the rest in one band
         before = held
-        _or_band(out, words, shifted, shifts[i : i + width], block)
+        if out is None:
+            out = np.empty(nwords, dtype="<u8")
+            out[start:] = words[start:]
+            shifted = np.empty(nwords, dtype="<u8")  # a bit-shifted copy of acc
+        _or_band(out, words, shifted, shifts[i : i + width], block, start)
         i += width
         width *= 2
     else:
-        return _mask_tail(out, bound)
-    del out, shifted  # the step ends on the gaps, which need neither
+        return _with_head(words.copy() if out is None else out, head, bound)
+    del now, out, shifted  # the step ends on the gaps, which need neither
     filled = _words_with_bits(_unfilled(words, gaps, rest), nwords)
-    return _mask_tail(np.invert(filled, out=filled), bound)
+    return _with_head(np.invert(filled, out=filled), head, bound)
 
 
-def _or_band(out: np.ndarray, words: np.ndarray, shifted: np.ndarray, band: np.ndarray, block: int) -> None:
-    """OR words << s into out in place for each shift s of one band: per
-    residue r = s mod 8, words shifted by r bits into shifted, then one OR
-    per shift at the byte offset s >> 3, in blocks of `block` bytes over
-    the output, each taking the residue's shifts while it is in cache, with
-    the shifted copy made block by block as the walk reaches it."""
+def _with_head(out: np.ndarray, head: np.ndarray | None, bound: int) -> np.ndarray:
+    """out with its first words set to head (if any) and its bits past bound cleared."""
+    if head is not None:
+        out[: head.size] = head
+    return _mask_tail(out, bound)
+
+
+def _shift_into(shifted: np.ndarray, words: np.ndarray, r: int, w0: int, w1: int) -> None:
+    """Words w0 to w1 of words << r (0 < r < 64) into shifted."""
+    np.left_shift(words[w0:w1], r, out=shifted[w0:w1])
+    w0 = max(w0, 1)
+    shifted[w0:w1] |= words[w0 - 1 : w1 - 1] >> (64 - r)  # bits carried up from the word below
+
+
+def _or_band(out: np.ndarray, words: np.ndarray, shifted: np.ndarray, band: np.ndarray, block: int, start: int) -> None:
+    """OR words << s into out in place, from word start on, for each shift s
+    of one band: per residue r = s mod 8, words shifted by r bits into
+    shifted, then one OR per shift at the byte offset s >> 3, in blocks of
+    `block` bytes over the output, each taking the residue's shifts while it
+    is in cache, with the shifted copy made block by block as the walk
+    reaches it (below start, as far down as the band's shifts reach, before
+    the walk)."""
     by_residue: list[list[int]] = [[] for _ in range(8)]
     for s in band.tolist():
         by_residue[s & 7].append(s >> 3)
@@ -347,13 +406,12 @@ def _or_band(out: np.ndarray, words: np.ndarray, shifted: np.ndarray, band: np.n
         if not qs:
             continue
         sh = (shifted if r else words).view(np.uint8)
-        for lo in range(0, n8, block):
+        if r and start:
+            _shift_into(shifted, words, r, max(0, start - (qs[-1] + 7) // 8), start)
+        for lo in range(8 * start, n8, block):
             hi = min(lo + block, n8)
             if r:
-                w0, w1 = lo >> 3, hi >> 3
-                np.left_shift(words[w0:w1], r, out=shifted[w0:w1])
-                w0 = max(w0, 1)
-                shifted[w0:w1] |= words[w0 - 1 : w1 - 1] >> (64 - r)  # bits carried up from the word below
+                _shift_into(shifted, words, r, lo >> 3, hi >> 3)
             for q in qs:  # ascending
                 if q >= hi:
                     break
@@ -363,11 +421,14 @@ def _or_band(out: np.ndarray, words: np.ndarray, shifted: np.ndarray, band: np.n
                     out8[q:hi] |= sh[: hi - q]
 
 
-def _pair_count(pos: np.ndarray, steps: np.ndarray, bound: int) -> int:
-    """About how many pair sums `_pair_sums` makes: each p in pos pairs
-    with the steps up to bound - p, and when pos are the steps themselves
-    (a coefficient repeats the first), each pair is made once, not twice."""
+def _pair_count(pos: np.ndarray, steps: np.ndarray, bound: int, lo: int = 0) -> int:
+    """About how many pair sums `_pair_sums` makes from bit lo on: each p in
+    pos pairs with the steps from lo - p up to bound - p, and when pos are
+    the steps themselves (a coefficient repeats the first), each pair is
+    made once, not twice."""
     pairs = int(np.searchsorted(steps, bound - pos, side="right").sum())
+    if lo:
+        pairs -= int(np.searchsorted(steps, lo - pos).sum())
     return pairs // 2 if np.array_equal(pos, steps) else pairs
 
 
@@ -383,36 +444,44 @@ def _pair_block(nwords: int) -> int:
     return 64 * min(-(-nwords // 8), max(1 << 10, nwords // 16), _PAIR_BLOCK_BITS // 64)
 
 
-def _pair_sums(pos: np.ndarray, steps: np.ndarray, bound: int, nwords: int) -> np.ndarray:
-    """nwords little-endian uint64 words with the bits p + s <= bound set,
-    for p in pos and s in steps (both ascending int64, p <= bound); bits
-    past bound in the last word may be set too.
+def _pair_sums(pos: np.ndarray, steps: np.ndarray, bound: int, nwords: int, start: int) -> np.ndarray:
+    """nwords little-endian uint64 words with the bits p + s <= bound set
+    from word start on, for p in pos and s in steps (both ascending int64,
+    p <= bound); the words below start are left unset, and bits past bound
+    in the last word may be set.
 
     The output is made in blocks of b bits (`_pair_block`), as byte flags
-    that np.packbits turns into words.
-    pos and steps are cut at the multiples of b too: the sums of the bits
-    in block k and the steps in block d fall in blocks k + d and k + d + 1,
-    at (p mod b) + (s mod b) from the start of block k + d.  So the flags
-    cover two blocks, 2b bytes, and the block from j*b is done once the
-    cells with k + d = j are: its flags are packed, and the next block's
-    move down.  Each row block stops at its reach, the steps up to bound -
-    k*b.  Each pair is made once, in int64 matrices of at most
-    `_PAIR_MATRIX` entries (or one column); when pos are the steps, the
-    cells with k > d are left out, as their sums are those of cell (d, k).
+    that np.packbits turns into words.  pos and steps are cut at b-spaced
+    edges too, both from e, the smallest offset at which bit lo = 64*start
+    falls on an output block edge (lo + 2e is a multiple of b; e = 0 for
+    start = 0): with P = p + e and S = s + e, the sums of the bits in block
+    k and the steps in block d (P in [kb, (k+1)b), S in [db, (d+1)b)) fall
+    in blocks k + d and k + d + 1 of P + S, at (P mod b) + (S mod b) from
+    the start of block k + d.  So the flags cover two blocks, 2b bytes, and
+    the block from j*b is done once the cells with k + d = j are: its flags
+    are packed, and the next block's move down.  The cells start at the
+    diagonal below the window's first block, which carries into it; each row
+    block stops at its reach, the steps up to bound - k*b.  Each pair is
+    made once, in int64 matrices of at most `_PAIR_MATRIX` entries (or one
+    column); when pos are the steps, the cells with k > d are left out, as
+    their sums are those of cell (d, k).
     """
-    nbits = 64 * nwords
+    nbits, lo = 64 * nwords, 64 * start
     b = _pair_block(nwords)
-    edges = np.arange(0, nbits + b, b)
-    rows_at = np.searchsorted(pos, edges).tolist()
-    cols_at = np.searchsorted(steps, edges).tolist()
-    reach = np.searchsorted(steps, bound - edges, side="right").tolist()
-    low_pos = pos % b
-    low_steps = steps % b
+    e = -(lo // 2) % b
+    top = nbits + 2 * e  # P + S of the output's end
+    edges = np.arange(0, top + b, b)
+    rows_at = np.searchsorted(pos, edges - e).tolist()
+    cols_at = np.searchsorted(steps, edges - e).tolist()
+    reach = np.searchsorted(steps, bound + e - edges, side="right").tolist()
+    low_pos = (pos + e) % b
+    low_steps = (steps + e) % b
     out = np.empty(nwords, dtype="<u8")
     body = out.view(np.uint8)
     flags = np.zeros(2 * b, dtype=np.uint8)
     symmetric = np.array_equal(pos, steps)
-    for j in range(len(edges) - 1):
+    first = (lo + 2 * e) // b  # the window's first block
+    for j in range(max(first - 1, 0), len(edges) - 1):
         for k in range(j // 2 + 1 if symmetric else j + 1):
             r0, r1 = rows_at[k], rows_at[k + 1]
             c0, c1 = cols_at[j - k], min(cols_at[j - k + 1], reach[k])
@@ -422,9 +491,10 @@ def _pair_sums(pos: np.ndarray, steps: np.ndarray, bound: int, nwords: int) -> n
             width = max(1, _PAIR_MATRIX // (r1 - r0))
             for c in range(c0, c1, width):
                 flags[rows + low_steps[c : min(c + width, c1)]] = 1
-        lo = j * b
-        n = min(b, nbits - lo)
-        body[lo // 8 : (lo + n) // 8] = np.packbits(flags[:n], bitorder="little")
+        if j >= first:
+            at = j * b - 2 * e  # the block's first bit
+            n = min(b, nbits - at)
+            body[at // 8 : (at + n) // 8] = np.packbits(flags[:n], bitorder="little")
         flags[:b] = flags[b:]
         flags[b:] = 0
     return out
@@ -479,6 +549,19 @@ def _set_bits(words: np.ndarray, bound: int, most: int | None = None) -> np.ndar
     bits = np.unpackbits(words[hot].view(np.uint8), bitorder="little").view(bool)
     if most is not None and np.count_nonzero(bits) > most:
         return None
+    return _hot_bits(hot, bits, bound)
+
+
+def _clear_bits(words: np.ndarray, bound: int, start: int = 0) -> np.ndarray:
+    """Ascending positions in [64*start, bound] of the clear bits of
+    little-endian uint64 words, listed without a full-size temporary."""
+    hot = start + np.flatnonzero(words[start:] != np.uint64((1 << 64) - 1))
+    return _hot_bits(hot, np.unpackbits((~words[hot]).view(np.uint8), bitorder="little").view(bool), bound)
+
+
+def _hot_bits(hot: np.ndarray, bits: np.ndarray, bound: int) -> np.ndarray:
+    """Ascending positions <= bound of the set bits of the unpacked words
+    bits (64 flags a word), each at its index in hot."""
     # bit k of the unpacked hot words is bit k % 64 of hot word k // 64
     k = np.flatnonzero(bits)
     pos = hot[k >> 6] * 64 + (k & 63)
@@ -847,11 +930,109 @@ def represented_set(
     bound_cap: int = DEFAULT_BOUND_CAP,
 ) -> RepresentedSet:
     """Sieve all represented values <= bound by iterated sumset shift-or, the
-    coefficients in `_step_order`."""
+    coefficients in `_step_order`.
+
+    The chain of the last word sieve (bound >= `_WORD_SIEVE_MIN_BOUND`) is
+    kept (`_LAST_SIEVE`).  A later call for the same form and domain is a
+    truncation of its set at a bound no larger, and at a larger bound
+    resumes it (`_word_sieve`), in its step order, sieving only the new
+    range; a call for another form or domain drops it first.
+    """
+    global _LAST_SIEVE
     _check_bound(bound, bound_cap)
-    for acc in _sieve_accs(form.m, _step_order(form.m, form.coeffs, domain, bound), domain, bound):
-        pass  # keep only the last accumulator alive
-    return RepresentedSet(form, domain, bound, _acc_words(acc, bound))
+    last = _LAST_SIEVE
+    if last is not None and (last.form, last.domain) != (form, domain):
+        last = _LAST_SIEVE = None
+    if last is not None and bound <= last.bound:
+        words = np.array(_kept_words(last.accs[-1], (bound + 64) // 64))
+        return RepresentedSet(form, domain, bound, _mask_tail(words, bound).tobytes())
+    if bound < _WORD_SIEVE_MIN_BOUND:
+        for acc in _sieve_accs(form.m, form.coeffs, domain, bound):
+            pass  # keep only the last accumulator alive
+        return RepresentedSet(form, domain, bound, _acc_words(acc, bound))
+    _LAST_SIEVE = None  # extended below; a failed sieve leaves no chain
+    order = _step_order(form.m, form.coeffs, domain, bound) if last is None else last.order
+    accs = _word_sieve(form.m, order, domain, bound, last)
+    rset = RepresentedSet(form, domain, bound, accs[-1].tobytes())
+    accs[-1] = _kept(np.frombuffer(rset.words, dtype="<u8"), bound)
+    _LAST_SIEVE = _Chain(form, domain, bound, order, accs)
+    return rset
+
+
+@dataclass(frozen=True)
+class _Gaps:
+    """A dense accumulator as a chain keeps it: the positions of its clear
+    bits up to its bound."""
+
+    at: np.ndarray
+
+
+@dataclass
+class _Chain:
+    """The chain of `represented_set`'s last word sieve: its form, domain,
+    bound and step order, and the accumulators of the forms order[:2], ...,
+    order up to the bound (that of order[:1] is remade from its values),
+    each as `_kept` keeps it."""
+
+    form: MgonalForm
+    domain: Domain
+    bound: int
+    order: tuple[int, ...]
+    accs: list[np.ndarray | _Gaps | None]
+
+
+_LAST_SIEVE: _Chain | None = None
+
+
+def _kept(words: np.ndarray, bound: int) -> np.ndarray | _Gaps:
+    """Words as a chain keeps them: as they are, or, when they have at most
+    one gap per `_GAP_SPACING` bits (as `_shift_or_words` counts them), the
+    positions of the gaps, which take at most an eighth of their bytes."""
+    if 64 * words.size - int(np.bitwise_count(words).sum()) <= 64 * words.size // _GAP_SPACING:
+        return _Gaps(_clear_bits(words, bound))
+    return words
+
+
+def _kept_words(kept: np.ndarray | _Gaps, count: int) -> np.ndarray:
+    """The first count words of an accumulator that a chain keeps: a view of
+    them when it keeps its words; made from its gaps, with the bits past its
+    bound set, which the caller cuts."""
+    if isinstance(kept, _Gaps):
+        gaps = kept.at[: np.searchsorted(kept.at, 64 * count)]
+        words = _words_with_bits(gaps, count)
+        return np.invert(words, out=words)
+    return kept[:count]
+
+
+def _word_sieve(m: int, order: tuple[int, ...], domain: Domain, bound: int, last: _Chain | None) -> list:
+    """The word accumulators of the forms order[:2], ..., order up to bound
+    (just the last for rank 1), each but the last as `_kept` keeps it once
+    the next is made.  The first coefficient's values are the positions of
+    its accumulator's bits, passed as such to the step after it.
+
+    With last, the chain of the same form at a smaller bound in this order,
+    each step computes only the words from the one that holds bit
+    last.bound + 1 on, and takes the words below it from last, whose
+    accumulators it drops as it goes.
+    """
+    nwords = (bound + 64) // 64
+    pos = order[0] * _step_values(m, bound // order[0], domain)
+    if len(order) == 1:
+        return [_words_with_bits(pos, nwords)]
+    start = 0 if last is None else (last.bound + 1) >> 6
+    accs: list = []
+    for k, a in enumerate(order[1:]):
+        head = None
+        if last is not None:
+            head = _kept_words(last.accs[k], start)
+            last.accs[k] = None
+        values = _step_values(m, bound // a, domain)
+        acc = _shift_or_words(accs[-1] if k else None, a, values, bound, head, None if k else pos)
+        del head
+        if accs:
+            accs[-1] = _kept(accs[-1], bound)
+        accs.append(acc)
+    return accs
 
 
 # A truant search sieves windows of 16, 64, 256, ... bits, capped at its

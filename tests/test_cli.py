@@ -462,6 +462,22 @@ class TestCacheLayer:
         with pytest.raises(CacheFormatError):
             load_or_build_set(f, 200, Domain.NONNEG, tmp_path)
 
+    def test_corrupt_prefix_detected_by_an_in_process_extension(self, tmp_path):
+        # the extension resumes the chain this process sieved, never the
+        # file: one flipped body bit of the stored prefix is still caught
+        f = MgonalForm.make(6, [1, 2, 2, 3])
+        bound = (1 << 17) + 100
+        cold = load_or_build_set(f, bound, Domain.NONNEG, tmp_path)
+        path = tmp_path / cache_file_name(f, Domain.NONNEG, bound)
+        blob = bytearray(path.read_bytes())
+        body = len(blob) - len(cold.words)
+        blob[body + len(cold.words) // 2] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheFormatError):
+            load_or_build_set(f, 2 * bound, Domain.NONNEG, tmp_path)
+        argv = ["truant", "--m", "6", "--coeffs", "1,2,2,3", "--bound", str(2 * bound), "--cache-dir", str(tmp_path)]
+        assert cli.main(argv) == 2
+
     @pytest.mark.parametrize("first, then", [(800, 300), (200, 1000)])
     def test_file_removed_after_listing_is_skipped(self, tmp_path, monkeypatch, first, then):
         # another process removes the listed file before this one reads it

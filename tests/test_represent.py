@@ -186,6 +186,60 @@ def test_word_step_matches_bigint_step(data, m, a, domain, bound):
     assert acc_bits(_sieve_step(vector, m, a, domain, bound), bound) == _shift_or_int(acc, a, values, bound)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(3, 12), st.integers(1, 8), st.sampled_from(list(Domain)), sieve_bounds())
+def test_windowed_word_step_is_the_full_step_from_the_window_on(data, m, a, domain, bound):
+    """With head, the word step computes only the words from the one that
+    holds bit old + 1 on (old < bound, so the window starts anywhere in a
+    word), and takes head below it; from the window on its words are the
+    big-int step's, on the words or on their set bits listed (no words).
+    The switches run as the word-step test forces them: gap tests at the
+    first check and never, pair sums never and (up to 2^20 pairs) always,
+    the OR path with first bands of 1 and 3 and in small blocks.  Besides
+    the word-step test's accumulators, one that is full but for the bits
+    g - a*v of a g in the window, which no shift fills."""
+    old = data.draw(st.integers(0, bound - 1))
+    start = (old + 1) >> 6
+    rng = data.draw(st.randoms(use_true_random=False))
+    head = np.array([rng.getrandbits(64) for _ in range(start)], dtype="<u8")
+    values = polygonal_values(m, bound // a, domain)
+    if data.draw(st.booleans()):
+        acc = data.draw(step_accs(bound))
+    else:
+        g = rng.randint(64 * start, bound)
+        acc = ((1 << (bound + 1)) - 1) & ~sum(1 << (g - a * v) for v in values if a * v <= g)
+    words = words_of(acc, bound)
+    want = words_of(_shift_or_int(acc, a, values, bound), bound)
+    pos = represent._set_bits(words, bound)
+    steps = a * np.asarray(values, dtype=np.int64)
+    pairs = represent._pair_count(pos, steps, bound, 64 * start)
+    runs = [{"_GAP_TEST_COST": cost} for cost in (represent._GAP_TEST_COST, 0, 10**12)]
+    runs += [{"_PAIR_COST": cost} for cost in [10**12] + ([1e-9] if pairs <= 1 << 20 else [])]
+    runs += [{"_PAIR_COST": 10**12, "_FIRST_BAND": band} for band in (1, 3)]
+    runs += [{"_PAIR_COST": 10**12, "_OR_BLOCKED_FROM": 0, "_OR_BLOCK": data.draw(st.sampled_from([1, 3, 64]))}]
+    for patched in runs:
+        with mock.patch.multiple(represent, **patched):
+            both = (_shift_or_words(words, a, values, bound, head), _shift_or_words(None, a, values, bound, head, pos))
+            for got in both:
+                assert np.array_equal(got[:start], head)
+                assert np.array_equal(got[start:], want[start:]), patched
+
+
+@pytest.mark.parametrize("share", [0.5, 0.64, 0.9])
+def test_windowed_word_step_on_a_dense_acc_lists_no_bits(monkeypatch, share):
+    # the pair sums' first screen counts the window's own bits: a dense acc
+    # is turned away before its bits are listed, whatever the window's start
+    def fail(*args, **kwargs):
+        raise AssertionError("listed the bits of a dense acc")
+
+    bound = 1 << 18
+    words = words_of((1 << (bound + 1)) - 1, bound)
+    start = int(share * words.size)
+    monkeypatch.setattr(represent, "_set_bits", fail)
+    got = _shift_or_words(words, 1, polygonal_values(5, bound, Domain.NONNEG), bound, words[:start])
+    assert np.array_equal(got, words)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(3, 12),
@@ -247,6 +301,7 @@ def test_mgrs_bytes_above_crossover_match_bigint_loop():
         for a in form.coeffs:
             acc = _shift_or_int(acc, a, polygonal_values(form.m, bound // a, domain), bound)
         want = RepresentedSet(form, domain, bound, words_of(acc, bound).tobytes()).to_bytes()
+        represent._LAST_SIEVE = None
         assert represented_set(form, bound, domain).to_bytes() == want
 
 
@@ -670,6 +725,7 @@ def test_sieve_in_step_order_is_the_ascending_sieve(m, coeffs, domain, bound, br
     `_step_order`, planned or kept ascending, has the words and MGRS bytes of
     the ascending `_sieve_accs` run."""
     form = MgonalForm.make(m, coeffs)
+    represent._LAST_SIEVE = None  # a sieve, not a cut of the last one
     with mock.patch.object(represent, "_PLAN_MARGIN", _PLAN_BRANCHES[branch]):
         order = represent._step_order(m, form.coeffs, domain, bound)
         got = represented_set(form, bound, domain)
@@ -788,6 +844,83 @@ def test_truant_past_the_bound_cap_sieves_nothing(monkeypatch):
         truant_up_to(MgonalForm.make(8, [1]), DEFAULT_BOUND_CAP + 1)
     with pytest.raises(ValueError):
         truant_up_to(MgonalForm.make(8, [1]), 0)
+
+
+def fresh_words(form, bound, domain):
+    """The MGRS body of the ascending sieve, which keeps no chain."""
+    for acc in _sieve_accs(form.m, form.coeffs, domain, bound):
+        pass
+    return _acc_words(acc, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 20),
+    st.lists(st.integers(1, 10), min_size=1, max_size=6),
+    st.sampled_from(list(Domain)),
+    st.integers(0, 1 << 16),
+    st.lists(st.integers(1, 1 << 17), min_size=1, max_size=3),
+)
+@example(3, [1, 1, 1], Domain.NONNEG, 5, [70000, 3])  # dense sub-forms: the chain keeps their gaps
+@example(5, [1, 1, 1, 1, 1], Domain.INT, 63, [64, 1 << 17])  # bounds + 1 on word edges
+def test_represented_set_after_a_smaller_one_is_a_fresh_sieve(m, coeffs, domain, first, growth):
+    """Each larger bound resumes the last chain in its step order and sieves
+    only the new range; the sets are those of the ascending sieve."""
+    form = MgonalForm.make(m, coeffs)
+    bound = _WORD_SIEVE_MIN_BOUND + first
+    represent._LAST_SIEVE = None
+    assert represented_set(form, bound, domain).words == fresh_words(form, bound, domain)
+    order = represent._LAST_SIEVE.order
+    for step in growth:
+        bound += step
+        got = represented_set(form, bound, domain)
+        assert got == RepresentedSet(form, domain, bound, fresh_words(form, bound, domain))
+        assert (represent._LAST_SIEVE.bound, represent._LAST_SIEVE.order) == (bound, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(3, 20),
+    st.lists(st.integers(1, 10), min_size=1, max_size=5),
+    st.sampled_from(list(Domain)),
+    st.integers(0, 1 << 16),
+    st.lists(st.floats(0, 1), min_size=1, max_size=4),
+)
+@example(3, [1, 1, 1], Domain.NONNEG, 5, [1.0, 0.5, 0.0])
+def test_truncation_hit_is_a_fresh_sieve(m, coeffs, domain, extra, shares):
+    """A bound no larger than the chain's is cut from its set, on either
+    side of the word-path crossover, with nothing sieved."""
+    form = MgonalForm.make(m, coeffs)
+    bound = _WORD_SIEVE_MIN_BOUND + extra
+    represent._LAST_SIEVE = None
+    represented_set(form, bound, domain)
+    for share in shares:
+        small = max(1, round(bound * share))
+        with mock.patch.multiple(represent, _sieve_accs=None, _word_sieve=None):
+            got = represented_set(form, small, domain)
+        assert got == RepresentedSet(form, domain, small, fresh_words(form, small, domain))
+
+
+def test_another_form_or_domain_drops_the_chain_before_sieving(monkeypatch):
+    seen = []
+    real = represent._step_order
+
+    def recording(*args):
+        seen.append(represent._LAST_SIEVE)
+        return real(*args)
+
+    monkeypatch.setattr(represent, "_step_order", recording)
+    form, bound = MgonalForm.make(7, [1, 2, 3]), _WORD_SIEVE_MIN_BOUND + 100
+    represent._LAST_SIEVE = None
+    represented_set(form, bound)
+    assert represent._LAST_SIEVE.form == form
+    represented_set(form, bound + 1000)  # resumed: no plan
+    assert len(seen) == 1
+    for other, domain in ((MgonalForm.make(7, [1, 2, 4]), Domain.NONNEG), (form, Domain.INT)):
+        represented_set(other, bound, domain)
+        assert seen[-1] is None and represent._LAST_SIEVE.domain is domain
+    represented_set(form, 1000)  # a big-int sieve of another key keeps no chain
+    assert represent._LAST_SIEVE is None
 
 
 def test_solve_system_examples():

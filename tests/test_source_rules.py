@@ -122,15 +122,19 @@ def test_only_the_full_sieve_plans_its_step_order():
     # masks and the escalator tree path need their sub-forms in a fixed
     # order: only represented_set may reorder its steps
     assert private_uses("represent.py", {"_step_order"}) == []
+    assert represent_users("_step_order") == {"represented_set"}
+
+
+def represent_users(name):
+    """The functions of represent.py, nested ones included, that name name."""
     tree = ast.parse((Path(mgonal.__file__).parent / "represent.py").read_text())
-    users = {
+    return {
         fn.name
         for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and node.id == "_step_order"
+        if isinstance(node, ast.Name) and node.id == name
     }
-    assert users == {"represented_set"}
 
 
 def represent_callers(name):
@@ -158,3 +162,11 @@ def test_gap_tests_only_inside_the_word_step():
     # yet, which only it knows
     assert private_uses("represent.py", {"_unfilled"}) == []
     assert represent_callers("_unfilled") == {"_shift_or_words"}
+
+
+def test_only_the_full_sieve_keeps_the_last_chain():
+    # a resumed sieve must start from what this process sieved: only
+    # represented_set reads or writes the chain it keeps, so no cache file,
+    # suffix mask or tree path can stand in for it
+    assert private_uses("represent.py", {"_LAST_SIEVE"}) == []
+    assert represent_users("_LAST_SIEVE") == {"represented_set"}
