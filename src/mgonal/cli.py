@@ -466,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except (CacheFormatError, ValueError) as exc:
+    except (CacheFormatError, OSError, ValueError) as exc:  # OSError: a bad report or cache path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

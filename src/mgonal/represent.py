@@ -47,11 +47,11 @@ input is dense, and m-gonal forms of rank >= 5 are almost regular, so some
 sub-form is often dense already.  From `_WORD_SIEVE_MIN_BOUND` up, for
 ranks 3 to `_PLAN_MAX_RANK`, a pilot sieves sub-forms exactly on 2^11 bits
 (`_pilot`), predicts from their gaps which are dense at the bound, and the
-cheapest dense one under a step-cost model is sieved first: the step that
-gains most from pair sums right after the first coefficient, its costliest
-other step last; the order stays ascending unless the plan is modelled at
-most four fifths of the ascending cost.  The suffix masks and the escalator tree
-path keep their fixed order: they need those exact sub-forms.
+cheapest dense one under a step-cost model is sieved first, its steps
+ascending with its costliest step last; the order stays ascending unless the
+plan is modelled at most four fifths of the ascending cost.  The suffix
+masks and the escalator tree path keep their fixed order: they need those
+exact sub-forms.
 
 A word sieve of `represented_set` is resumable.  It keeps the chain of its
 last one (`_Chain`): form, domain, bound, step order and each step's
@@ -76,7 +76,7 @@ import bisect
 import functools
 import math
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -691,7 +691,12 @@ def _check_bound(bound: int, cap: int = DEFAULT_BOUND_CAP) -> None:
 # first coefficient on pair sums and the OR path in ascending bands: 0.89
 # and 0.90 of the time in two runs with these settings, with 0 and 1 sieves
 # more than 10% slower.  One run of all 400 moves by about 2% from the
-# next, so settings closer than that are not told apart.
+# next, so settings closer than that are not told apart.  Those plans priced
+# the step right after the first coefficient by its pair sums.  Priced like
+# every other step, the plans of the 246 sieves planned in the batches at
+# seeds 151-153 took 0.88-0.89 of the ascending time, within 1% of those
+# plans, with 5 sieves more than 10% slower than ascending in each of three
+# runs (2 before), and cold planning took 20-28 ms in all, not 52-57 ms.
 
 # The pilot sieves sub-forms exactly on [0, 2^11]; on 2^10 bits its plans
 # took 0.90 of the time (15 sieves more than 10% slower), for 10-25% less
@@ -712,26 +717,19 @@ _SHIFTED_COPY_COST = 3
 # such steps pay 0.22-1.2 (median 0.66, 0.59 of their summed time; the
 # full step pays for its bands too).  With 0.25 here the plans took 0.88
 # of the time, but 6 sieves ran more than 10% slower; with 0.75, 0.91 and
-# none.  With 0.25 or less, <1,2,4,8,9>_12 at 2^19 is planned as
-# (1, 9, 8, 2, 4), which sieves 1.05-1.08x the ascending time (1.5x with
-# the OR path in residue groups mod 64).
+# none.  With 0.5 or less, <1,2,4,8,9>_12 at 2^19 is planned as
+# (1, 8, 9, 2, 4), which sieves in 1.07x the ascending time.
 _DENSE_OUTPUT_SHARE = 0.5
 # A planned order is taken only when its modelled cost is at most this share
 # of the ascending order's: with 1, the plans took 0.84 of the time, but 22
 # sieves ran more than 10% slower; with 0.9, 0.85 and 19 (and the 1.5x
 # plan above); with 0.7, 0.94 and 4.
 _PLAN_MARGIN = 0.8
-# The pilot may make one shift (one `_shift_or_int` iteration on its window)
-# per this many word ORs that the ascending sieve makes at most, as its
-# cost model counts them (`_lead_step_cost`, then `_step_cost` over all the
-# words).  A pilot shift takes about 0.3 us, and a word OR 0.35 ns, so the
-# pilot's shifts cost at most about 2.5% of that sieve.
-_WORDS_PER_PILOT_SHIFT = 1 << 15
 # (m, domain is Z, sub-form) -> its pilot (`_pilot`), least recently used
-# first, at most about 0.5 KB each.  Sub-forms recur: the forms of an audit
-# share their first coefficients, and a pilot does not depend on the bound,
-# so a cache extension or a truant search past its first window plans its
-# sieves with the pilots it has.
+# first, at most about 0.5 KB each.  A pilot does not depend on the bound, and
+# sub-forms recur: the sub-forms a plan tests share their prefixes, and the
+# forms of an audit share their first coefficients.  (A sieve resumed to a
+# larger bound keeps its order and plans nothing.)
 _PILOTS: dict[tuple[int, bool, tuple[int, ...]], tuple[int, int, float, int | None]] = {}
 _PILOTS_MAX = 256
 
@@ -758,25 +756,6 @@ def _step_cost(m: int, a: int, domain: Domain, bound: int) -> int:
     return shifts + _SHIFTED_COPY_COST * min(shifts, bands * _shift_residues(m & 15, a & 7))
 
 
-@functools.lru_cache(maxsize=1 << 10)
-def _lead_step_cost(m: int, a0: int, a: int, domain: Domain, bound: int) -> float:
-    """The cost, in shifts ORed, of the step with coefficient a right after
-    the first coefficient a0: `_step_cost`, or the pair sums' when
-    `_shift_or_words` takes them (`_pair_count` of the values a0*P_m(v)
-    and the steps, as it counts them)."""
-    firsts = a0 * _step_values(m, bound // a0, domain)
-    steps = a * _step_values(m, bound // a, domain)
-    nwords = (bound + 64) // 64
-    pairs = _pair_count(firsts, steps, bound)
-    if pairs * _PAIR_COST < (steps.size - 1) * nwords:
-        return pairs * _PAIR_COST / nwords
-    return _step_cost(m, a, domain, bound)
-
-
-class _PilotSpent(Exception):
-    """A pilot was asked for more shifts than it had left."""
-
-
 @functools.lru_cache(maxsize=64)
 def _pilot_values(m: int, domain: Domain) -> tuple[int, ...]:
     """The values P_m(x) <= `_PILOT_BITS` over the domain, ascending."""
@@ -784,7 +763,7 @@ def _pilot_values(m: int, domain: Domain) -> tuple[int, ...]:
 
 
 def _pilot(
-    m: int, domain: Domain, sub: tuple[int, ...], values: tuple[int, ...], left: list[int]
+    m: int, domain: Domain, sub: tuple[int, ...], values: tuple[int, ...]
 ) -> tuple[int, int, float, int | None]:
     """(gaps, g4, q, acc) of the sub-form with coefficients sub (ascending) on
     [0, w], w = `_PILOT_BITS`: its gaps in [1, w], those g4 in the upper half
@@ -793,22 +772,17 @@ def _pilot(
 
     The sieve is one `_shift_or_int` step on that of sub[:-1], with the
     prefix of values (`_pilot_values`) up to w // sub[-1]; one whose
-    parent has no gaps on the window has none either, and is not sieved.  A
-    step spends as many of left[0] shifts as it makes, and one that would
-    overspend them raises `_PilotSpent`.
+    parent has no gaps on the window has none either, and is not sieved.
     """
     key = (m, domain is Domain.INT, sub)  # an Enum member hashes in Python, a bool in C
     got = _PILOTS.pop(key, None)
     if got is None:
-        acc = _pilot(m, domain, sub[:-1], values, left)[3] if len(sub) > 1 else 1
+        acc = _pilot(m, domain, sub[:-1], values)[3] if len(sub) > 1 else 1
         if acc is None:
             got = 0, 0, 0.0, None
         else:
             w = _PILOT_BITS
             step = values[: bisect.bisect_right(values, w // sub[-1])]
-            if len(step) > left[0]:
-                raise _PilotSpent
-            left[0] -= len(step)
             acc = _shift_or_int(acc, sub[-1], step, w)
             above = (acc >> (w // 2 + 1)).bit_count()
             g3 = w // 4 - (acc >> (w // 4 + 1)).bit_count() + above
@@ -825,27 +799,22 @@ def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> 
     permutation of coeffs, which gives the same bits in every order.
 
     The first coefficient stays first: its values are written directly, at
-    next to no cost.  The cost model counts the step right after it at
-    `_lead_step_cost` (its input is sparse, so it may make pair sums), and
-    every later word step at `_step_cost`, in full, at `_DENSE_OUTPUT_SHARE`
-    of it when its output turns dense, and at nothing once its input is
-    dense (it only tests the gaps).  Dense is the test of `_shift_or_words`, at most one gap per
+    next to no cost.  The cost model counts every later word step at
+    `_step_cost`, in full, at `_DENSE_OUTPUT_SHARE` of it when its output
+    turns dense, and at nothing once its input is dense (it only tests the
+    gaps).  Dense is the test of `_shift_or_words`, at most one gap per
     `_GAP_SPACING` bits up to the bound; for each sub-form that holds the
     first coefficient it is predicted from its `_pilot`: the gaps on the
     pilot's window, then g4 gaps in the window's upper half, times q with
-    each doubling up to the bound.  An
-    almost regular sub-form thins out (q < 1), one with a congruence
-    obstruction does not (q = 2).
+    each doubling up to the bound.  An almost regular sub-form thins out
+    (q < 1), one with a congruence obstruction does not (q = 2).
 
-    An order then costs its steps up to its first dense prefix D, least
-    with the step of D that gains most from `_lead_step_cost` first and the
-    costliest of the others last.  The plan is the cheapest dense D, its
-    steps in that order, the ones between ascending, then the others,
-    ascending; the sub-forms are tested in order of their cost if dense, so that the first
-    dense one is the plan and the pilot sieves only those it tests.  The plan
-    is kept if it costs at most `_PLAN_MARGIN` of the ascending order.  The
-    pilot's shifts are capped at a share of the ascending sieve's word ORs
-    (`_WORDS_PER_PILOT_SHIFT`); once they are spent the order is ascending.
+    The ascending order costs its steps up to its first dense prefix; a dense
+    sub-form D costs its steps, the costliest at its share.  The sub-forms
+    that cost at most `_PLAN_MARGIN` of the ascending order are tested in
+    order of that cost, so that the pilot sieves only those it tests, and
+    the first dense one is the plan: D's steps ascending with the costliest
+    one (the first of equal ones) last, then the others, ascending.
 
     Below `_WORD_SIEVE_MIN_BOUND`, for rank <= 2 and past `_PLAN_MAX_RANK`
     the order is ascending and no pilot runs.
@@ -854,10 +823,7 @@ def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> 
         return coeffs
     rest = coeffs[1:]
     cost = [_step_cost(m, a, domain, bound) for a in rest]
-    lead = {a: _lead_step_cost(m, coeffs[0], a, domain, bound) for a in set(rest)}
-    nwords = (bound + 64) // 64
-    left = [int(lead[rest[0]] + sum(cost[1:])) * nwords // _WORDS_PER_PILOT_SHIFT]
-    most = 64 * nwords // _GAP_SPACING  # as in _shift_or_words
+    most = 64 * ((bound + 64) // 64) // _GAP_SPACING  # as in _shift_or_words
     d = math.log2((bound + 1) / _PILOT_BITS)
     values = _pilot_values(m, domain)
     subs = {0: coeffs[:1]}  # mask -> coeffs[0] and rest[i] for the bits i of mask
@@ -871,26 +837,12 @@ def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> 
 
     def dense(mask: int) -> bool:
         """Whether the sub-form of a mask is predicted dense at the bound."""
-        gaps, g4, q, _ = _pilot(m, domain, sub_of(mask), values, left)
+        gaps, g4, q, _ = _pilot(m, domain, sub_of(mask), values)
         return gaps + g4 * (d if q == 1 else q * (q**d - 1) / (q - 1)) <= most
 
-    try:
-        return _planned_order(coeffs, cost, [lead[a] for a in rest], dense)
-    except _PilotSpent:
-        return coeffs
-
-
-def _planned_order(
-    coeffs: tuple[int, ...], cost: list[int], lead: list[float], dense: Callable[[int], bool]
-) -> tuple[int, ...]:
-    """`_step_order`'s plan from the costs of the steps after the first (as
-    the step right after it in lead, else in cost) and whether each
-    sub-form is dense at the bound: the one of coeffs[0] and coeffs[i + 1]
-    for each bit i of a mask."""
     # the values of a binary form have density 0: no sub-form of rank 2 is
     # dense, none is a plan
-    rest = coeffs[1:]
-    ascending = lead[0]
+    ascending = cost[0]
     for k in range(1, len(rest)):
         if dense((2 << k) - 1):
             ascending += _DENSE_OUTPUT_SHARE * cost[k]
@@ -898,8 +850,6 @@ def _planned_order(
         ascending += cost[k]
     else:
         return coeffs  # a sub-form has all the gaps of the whole form, and more
-    # the cost of each sub-form D if dense, with the step of D that gains most
-    # right after coeffs[0] and its costliest other step last, at its share;
     # each sub-multiset once, with the first ones of equal coefficients
     repeats = sum(1 << i for i in range(1, len(rest)) if rest[i] == rest[i - 1])
     plans = []
@@ -907,18 +857,14 @@ def _planned_order(
         if not mask & (mask - 1) or (mask & repeats) >> 1 & ~mask:
             continue
         picked = [i for i in range(len(rest)) if mask >> i & 1]
-        total = sum(cost[i] for i in picked)
-        options = []
-        for first in picked:
-            last = max((i for i in picked if i != first), key=cost.__getitem__)
-            planned = total - cost[first] + lead[first] - (1 - _DENSE_OUTPUT_SHARE) * cost[last]
-            options.append((planned, mask, first, last))
-        if min(options)[0] <= _PLAN_MARGIN * ascending:
-            plans.append(min(options))
-    for _, mask, first, last in sorted(plans):
+        last = max(picked, key=cost.__getitem__)
+        planned = sum(cost[i] for i in picked) - (1 - _DENSE_OUTPUT_SHARE) * cost[last]
+        if planned <= _PLAN_MARGIN * ascending:
+            plans.append((planned, mask, last))
+    for _, mask, last in sorted(plans):
         if dense(mask):
-            middle = [i for i in range(len(rest)) if mask >> i & 1 and i not in (first, last)]
-            order = [first, *middle, last] + [i for i in range(len(rest)) if not mask >> i & 1]
+            order = [i for i in range(len(rest)) if mask >> i & 1 and i != last] + [last]
+            order += [i for i in range(len(rest)) if not mask >> i & 1]
             return coeffs[:1] + tuple(rest[i] for i in order)
     return coeffs
 

@@ -62,6 +62,26 @@ def test_resource_error_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("where", ["output-in-missing-dir", "output-is-dir", "cache-dir-is-file", "env-cache-is-file"])
+def test_bad_report_or_cache_path_exit_2(tmp_path, capsys, monkeypatch, where):
+    monkeypatch.delenv("MGONAL_CACHE_DIR", raising=False)
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    sieve = ["set", "--m", "5", "--coeffs", "1,1,1", "--bound", "100"]
+    argv = {
+        "output-in-missing-dir": ["eval", "--m", "5", "--x", "3", "--output", str(tmp_path / "no" / "x")],
+        "output-is-dir": ["eval", "--m", "5", "--x", "3", "--output", str(tmp_path)],
+        "cache-dir-is-file": [*sieve, "--cache-dir", str(a_file)],
+        "env-cache-is-file": sieve,
+    }[where]
+    if where == "env-cache-is-file":
+        monkeypatch.setenv("MGONAL_CACHE_DIR", str(a_file))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("verb", ["tree", "gamma"])
 @pytest.mark.parametrize("m", ["5", "40"])  # at m = 40 every node of depth 3 is in the shortcut regime
 def test_tree_and_gamma_past_the_bound_cap_exit_3(capsys, verb, m):

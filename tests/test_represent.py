@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -707,7 +708,6 @@ def test_truant_examples():
     assert truant_up_to(MgonalForm.make(4, [1, 1, 1, 1]), 10**5) is None
 
 
-# every truant-search window edge below the word-path crossover, and the crossover
 # the margins that keep every planned order and none
 _PLAN_BRANCHES = {"planned": math.inf, "ascending": 0.0}
 
@@ -753,14 +753,15 @@ def test_step_order_is_a_permutation(m, coeffs, domain, bound, branch):
 
 
 def test_step_order_puts_a_dense_sub_form_first():
-    # <1,1,3,6>_9 is dense at 2^19: the second 1 makes pair sums right after
-    # the first (each pair once), its costliest other step, 3, comes last,
-    # and the second 3 runs on a dense input (0.47 of the ascending time)
-    assert represent._step_order(9, (1, 1, 3, 3, 6), Domain.NONNEG, 1 << 19) == (1, 1, 6, 3, 3)
+    # <1,1,3,6>_9 is dense at 2^19: its steps after the first 1 go ascending
+    # with the costliest, the second 1, last, and the second 3 runs on a
+    # dense input (2.07 ms against 4.06 ms ascending)
+    assert represent._step_order(9, (1, 1, 3, 3, 6), Domain.NONNEG, 1 << 19) == (1, 3, 6, 1, 3)
     with mock.patch.object(represent, "_PLAN_MARGIN", 0.0):
         assert represent._step_order(9, (1, 1, 3, 3, 6), Domain.NONNEG, 1 << 19) == (1, 1, 3, 3, 6)
-    # its plans, such as (1, 9, 8, 2, 4), sieved 1.5x slower than ascending
-    assert represent._step_order(12, (1, 2, 4, 8, 9), Domain.NONNEG, 1 << 19) == (1, 2, 4, 8, 9)
+    # <1,2,8,9>_12 is predicted dense at 2^19; this plan sieves in 1.07x the
+    # ascending time (2.21 ms against 2.07 ms)
+    assert represent._step_order(12, (1, 2, 4, 8, 9), Domain.NONNEG, 1 << 19) == (1, 8, 9, 2, 4)
     # a congruence obstruction leaves no sub-form dense: ascending
     assert represent._step_order(9, (4, 9, 9), Domain.NONNEG, 1 << 19) == (4, 9, 9)
     assert represent._step_order(5, (3, 6, 6), Domain.INT, 1 << 22) == (3, 6, 6)
@@ -776,6 +777,40 @@ def test_step_order_puts_a_dense_sub_form_first():
     assert represent._PILOTS == {}
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 40),
+    st.lists(st.integers(1, 16), min_size=3, max_size=represent._PLAN_MAX_RANK),
+    st.sampled_from(list(Domain)),
+    st.integers(_WORD_SIEVE_MIN_BOUND, DEFAULT_BOUND_CAP),
+    st.sampled_from(sorted(_PLAN_BRANCHES)),
+)
+@example(7, [1, 2, 3, 4, 5, 6], Domain.NONNEG, _WORD_SIEVE_MIN_BOUND, "planned")
+def test_step_order_runs_one_pilot_per_sub_form_at_most(m, coeffs, domain, bound, branch):
+    """A plan pilots only sub-forms that hold the first coefficient, each
+    once: at most 2^(rank-1) of them."""
+    coeffs = tuple(sorted(coeffs))
+    represent._PILOTS.clear()
+    with mock.patch.object(represent, "_PLAN_MARGIN", _PLAN_BRANCHES[branch]):
+        represent._step_order(m, coeffs, domain, bound)
+    assert len(represent._PILOTS) <= 1 << (len(coeffs) - 1)
+    for key_m, is_int, sub in represent._PILOTS:
+        assert (key_m, is_int) == (m, domain is Domain.INT) and sub[0] == coeffs[0]
+        assert not Counter(sub) - Counter(coeffs)
+
+
+def test_pilot_memo_stays_within_its_size():
+    represent._PILOTS.clear()
+    seen = set()
+    for m in range(3, 40):
+        represent._step_order(m, (1, 2, 3, 4, 5, 6), Domain.NONNEG, 1 << 20)
+        seen |= set(represent._PILOTS)
+        assert len(represent._PILOTS) <= represent._PILOTS_MAX
+    assert len(seen) > represent._PILOTS_MAX
+    assert len(represent._PILOTS) == represent._PILOTS_MAX
+
+
+# every truant-search window edge below the word-path crossover, and the crossover
 _TRUANT_EDGES = [16 * 4**k for k in range(7)] + [_WORD_SIEVE_MIN_BOUND]
 
 
