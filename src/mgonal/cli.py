@@ -26,7 +26,7 @@ from .escalator import build_tree, exceptions, gamma_estimate, growth_probe, t_d
 from .forms import Domain, MgonalForm, decompose, is_polygonal, polygonal_number
 from .local import locally_represented
 from .reduction import feasible_k, k_window
-from .represent import RepresentedSet, represented_set, represents, truant_up_to
+from .represent import RepresentedSet, _check_bound, represented_set, represents, truant_up_to
 
 __all__ = ["main", "load_or_build_set", "cache_file_name"]
 
@@ -81,8 +81,10 @@ def load_or_build_set(
     Extension re-sieves at the larger bound and verifies the old prefix bit
     for bit before replacing the file, so an interrupted or corrupt write can
     never poison later runs.  A file whose header disagrees with its name
-    (form, domain or bound) is rejected.
+    (form, domain or bound) is rejected.  A bound below 1 or past the cap is
+    refused before the directory is listed.
     """
+    _check_bound(bound)
     if cache_dir is None:
         return represented_set(form, bound, domain)
     cache_dir.mkdir(parents=True, exist_ok=True)

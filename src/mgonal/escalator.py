@@ -9,12 +9,13 @@ is m), so the truant is at most sum+1: the sieve checks it on a first window
 that holds sum+1, and the truant is sum+1 unless the coefficients leave a gap
 below it (never for tree nodes, which are gapless chains).
 
-Truants are searched in growing windows, and the tree walk shares its sieves
-along the current root-to-node path (`_TreePath`): a node's accumulator at a
-window is one sieve step on its parent's at that window, and a child's search
-starts where its parent's stopped, since adding a coefficient only adds
-values.  A tree costs about one sieve step per node and window, and the
-windows follow the truants, not the bound.
+Truants are searched in growing windows, and the tree walk keeps the current
+root-to-node path (`_TreePath`) on one `represent._SievePath`: a node's sieve
+at a window is one step on its parent's at that window, or resumes its own
+narrower word window, and a child's search starts where its parent's
+stopped, since adding a coefficient only adds values.  A tree costs about
+one sieve step per node and window, and the windows follow the truants, not
+the bound.
 
 Leaves are only ever "universal up to the sieve bound" - nothing here proves
 universality, and the gamma estimate is reported as a lower bound.
@@ -30,16 +31,7 @@ from functools import cache, partial
 from .errors import ResourceLimitError
 from .forms import Domain, MgonalForm
 from .local import _local_check, _prime_factors, _represents_zp, _unit_classes
-from .represent import (
-    _Acc,
-    _acc_first_missing,
-    _acc_truncated,
-    _check_bound,
-    _first_acc,
-    _sieve_step,
-    _truant_window,
-    represented_set,
-)
+from .represent import _check_bound, _SievePath, _truant_window, represented_set
 
 __all__ = [
     "EscalatorNode",
@@ -86,90 +78,47 @@ class EscalatorNode:
         }
 
 
-class _PathNode:
-    """One form of a `_TreePath`: its last coefficient and coefficient sum,
-    the widest window it has been sieved to with that accumulator, and the
-    window its truant search stopped at (before the search, where it starts)."""
-
-    __slots__ = ("coeff", "total", "searched", "window", "acc")
-
-    def __init__(self, coeff: int, total: int, searched: int) -> None:
-        self.coeff = coeff
-        self.total = total
-        self.searched = searched
-        self.window = 0
-        self.acc: _Acc = 0
-
-
 class _TreePath:
-    """The forms along one root-to-node path of an escalator tree, and their sieves.
-
-    The accumulator of a node at a window w is its widest one cut to w when
-    that holds w, else one `_sieve_step` on its parent's at w, so siblings
-    share their parent's sieves and no (node, window) is stepped twice.
-    Only the current path's accumulators are alive, one per node, each at
-    most (bound + 64) / 8 bytes; a step adds its output, one temporary and
-    at most one cut prefix, so a walk to depth d holds at most d + 3 of
-    them: 128 MiB for depth 5 at `DEFAULT_BOUND_CAP`.
-    """
+    """The forms along one root-to-node path of an escalator tree on one
+    `_SievePath`, and for each the window its truant search stopped at
+    (before the search, where it starts: its parent's)."""
 
     def __init__(self, m: int, bound: int) -> None:
         _check_bound(bound)
-        self.m = m
         self.bound = bound
-        self.nodes: list[_PathNode] = []
+        self.sieve = _SievePath(m, Domain.NONNEG)
+        self.searched: list[int] = []
 
     def push(self, c: int) -> None:
-        if self.nodes:
-            parent = self.nodes[-1]
-            self.nodes.append(_PathNode(c, parent.total + c, parent.searched))
-        else:
-            self.nodes.append(_PathNode(c, c, _truant_window(1, self.bound)))
+        self.sieve.push(c)
+        self.searched.append(self.searched[-1] if self.searched else _truant_window(1, self.bound))
 
     def pop(self) -> None:
-        self.nodes.pop()
-
-    def _acc(self, w: int) -> _Acc:
-        """The accumulator of the path's last form at window w."""
-        nodes = self.nodes
-        d = len(nodes) - 1
-        while d >= 0 and nodes[d].window < w:
-            d -= 1
-        if d >= 0:
-            acc = nodes[d].acc if nodes[d].window == w else _acc_truncated(nodes[d].acc, nodes[d].window, w)
-        for k in range(d + 1, len(nodes)):
-            node = nodes[k]
-            if k:
-                acc = _sieve_step(acc, self.m, node.coeff, Domain.NONNEG, w)
-            else:
-                acc = _first_acc(self.m, node.coeff, Domain.NONNEG, w)
-            node.window = w
-            node.acc = acc
-        return acc
+        self.sieve.pop()
+        self.searched.pop()
 
     def truant(self) -> int | None:
         """Truant of the path's last form up to the bound, as `node_truant` defines it."""
-        node = self.nodes[-1]
-        s = node.total
-        shortcut = s < self.m - 1
+        s = sum(self.sieve.order)
+        shortcut = s < self.sieve.m - 1
         if shortcut:
             if self.bound < s + 1:
                 raise ValueError(f"bound {self.bound} below shortcut range {s + 1}")
             w = _truant_window(s + 1, self.bound)
         else:
-            w = node.searched
+            w = self.searched[-1]
         while True:
-            t = _acc_first_missing(self._acc(w), w)
+            t = self.sieve.first_missing(w)
             if t is not None or w == self.bound:
                 break
             w = _truant_window(w + 1, self.bound)
-        node.searched = w
+        self.searched[-1] = w
         if shortcut and t != s + 1:
             logger.warning(
                 "truant shortcut %d disagrees with sieve %s for %s; using the sieve",
                 s + 1,
                 t,
-                MgonalForm.make(self.m, [n.coeff for n in self.nodes]).label(),
+                self.sieve.form.label(),
             )
         return t
 
@@ -232,7 +181,7 @@ def build_tree(
             universal_up_to=bound if t is None else None,
         )
         parent.children.append(node)
-        if t is not None and len(path.nodes) < max_depth:
+        if t is not None and len(path.searched) < max_depth:
             stack.append((node, iter(range(c, t + 1))))
         else:
             path.pop()

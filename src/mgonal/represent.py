@@ -15,33 +15,38 @@ Three engines live here:
   sum a_i x_i^2 = alpha, sum a_i x_i = beta, the auxiliary system every
   representation of A*(m-2)+B with parameter k reduces to.
 
-Both sieves, the full set and the witness search's suffix masks, write the
-first coefficient's values a*P_m(v) directly, and each further one applies
-one sumset step: acc -> OR over v of acc << a*P_m(v), masked to [0, bound],
-with the values a read-only prefix of one int64 table per (m, domain)
-(`_step_values`).  The suffix masks, and the full set below the word path,
-come from `_sieve_accs`; the full set's word sieves from `_word_sieve`,
-which hands the first coefficient's values to the next step as the positions
-of its bits, never scattered into words to be listed back.  The accumulator
-keeps one form from the first step to the last: a big int below the measured
-break-even `_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's fixed cost per
-call would dominate and the step is a loop of big-int shifts and ORs over
-the values as Python ints; little-endian numpy uint64 words from there up,
-where shifted copies of acc are ORed in place at byte offsets, the shifts in
-ascending bands of doubling size and within a band grouped by residue mod 8
-(one bit-shifted copy of acc each), past 2^23 bits block by block over the
-output (`_shift_or_words`).  Once the output's gaps are few (at once when
-acc is dense, as in the last steps of most sieves, when they are counted and
-listed from acc itself before anything full-size is allocated, or after a
-few bands) and testing them is cheaper than ORing on, the shifts left are
-tested on the gaps instead, each gap only against the shifts below it, and
-the output is all ones but the gaps no shift fills.  An acc with few set
-bits, as in the step right after the first coefficient, is not ORed at all:
-the output is made from the pair sums of its bits and the shifts
-(`_pair_sums`) when a cost model of pairs against word ORs says that is
-cheaper.
+Every sieve writes the first coefficient's values a*P_m(v) directly, and
+each further one applies one sumset step: acc -> OR over v of acc << a*P_m(v),
+masked to [0, bound], with the values a read-only prefix of one int64 table
+per (m, domain) (`_step_values`).  The witness search's suffix masks, and
+the full set below the word path, come from `_sieve_accs`; the full set's
+word sieves and the escalator's tree walks from one `_SievePath`.  The
+accumulator keeps one form from the first step to the last: a big int below
+the measured break-even `_WORD_SIEVE_MIN_BOUND` (2^17 bits), where numpy's
+fixed cost per call would dominate and the step is a loop of big-int shifts
+and ORs; little-endian numpy uint64 words from there up, where shifted
+copies of acc are ORed in place at byte offsets, the shifts in ascending
+bands of doubling size and within a band grouped by residue mod 8, past
+2^23 bits block by block over the output (`_shift_or_words`).  Once the
+output's gaps are few (at once when acc is dense, or after a few bands) and
+testing them is cheaper than ORing on, the shifts left are tested on the
+gaps instead.  An acc with few set bits, as in the step right after the
+first coefficient, whose values a path hands over as the positions of its
+bits, is not ORed at all: the output is made from the pair sums of its bits
+and the shifts (`_pair_sums`) when a cost model says that is cheaper.  Only
+this module knows the two forms: other modules ask a `_SievePath` for words
+or a first miss.
 
-`represented_set` sieves its steps in a planned order (`_step_order`): a
+A `_SievePath` keeps one accumulator per prefix of the coefficients, cuts
+a narrower window from a wider one, steps a prefix from its parent, and
+widens a prefix's word window by its new words only.  A tree walk pushes
+and pops its nodes on one, so siblings share their parent's sieves.
+`represented_set` keeps the path of its last word sieve (`_LAST_SIEVE`), so
+a cache extension, each `truant --escalate` doubling and each truant window
+past 2^17 sieves only the new range; a cache file is checked against a
+sieve, never fed into the path.
+
+`represented_set` pushes its steps in a planned order (`_step_order`): a
 sumset is the same in any order, but a step costs next to nothing once its
 input is dense, and m-gonal forms of rank >= 5 are almost regular, so some
 sub-form is often dense already.  From `_WORD_SIEVE_MIN_BOUND` up, for
@@ -52,20 +57,6 @@ ascending with its costliest step last; the order stays ascending unless the
 plan is modelled at most four fifths of the ascending cost.  The suffix
 masks and the escalator tree path keep their fixed order: they need those
 exact sub-forms.
-
-A word sieve of `represented_set` is resumable.  It keeps the chain of its
-last one (`_Chain`): form, domain, bound, step order and each step's
-accumulator, a dense one as the positions of its gaps.  A later sieve of the
-same form and domain, from the chain's bound B to a larger one, resumes it
-in the same order: each step takes the words below the one that holds bit
-B + 1 from the old accumulator and computes only the words from there on,
-the window (the pair sums that land in it, ORs over its words, or tests of its
-gaps against the whole input; the pair sums are priced against ORs over the
-window), so a cache extension, each `truant --escalate` doubling and each
-truant window past 2^17 sieves only the new range.  A bound no larger is cut
-from the kept set; a sieve of another form or domain drops the chain before
-it allocates anything.  Nothing outside the process's own sieves feeds the
-chain: a cache file is still checked against a sieve, never against itself.
 
 The set serializes to a bit-exact cache format ("MGRS"), consumed by the CLI.
 """
@@ -657,12 +648,46 @@ def _acc_first_missing(acc: _Acc, bound: int) -> int | None:
     return _first_missing(memoryview(acc).cast("B"), bound, 1)
 
 
-def _acc_truncated(acc: _Acc, bound: int, to: int) -> _Acc:
-    """The accumulator up to to <= bound: a prefix of the same bits, in to's form."""
-    if to >= _WORD_SIEVE_MIN_BOUND:
-        return _mask_tail(acc[: (to + 64) // 64].copy(), to)
+@dataclass(frozen=True)
+class _Gaps:
+    """A dense word accumulator as a `_SievePath` keeps it: the positions of
+    its clear bits up to its window."""
+
+    at: np.ndarray
+
+
+def _kept(acc: np.ndarray, bound: int) -> np.ndarray | _Gaps:
+    """Words as a `_SievePath` keeps them: as they are, or, with at most one
+    gap per `_GAP_SPACING` bits (as `_shift_or_words` counts them), the
+    positions of the gaps, at most an eighth of their bytes.  (A big-int
+    accumulator is kept as it is.)"""
+    if 64 * acc.size - int(np.bitwise_count(acc).sum()) <= 64 * acc.size // _GAP_SPACING:
+        return _Gaps(_clear_bits(acc, bound))
+    return acc
+
+
+def _kept_words(kept: np.ndarray | _Gaps, count: int) -> np.ndarray:
+    """The first count words of a kept word accumulator: a view of them when
+    its words are kept; made from its gaps, with the bits past its window
+    set, which the caller cuts."""
+    if isinstance(kept, _Gaps):
+        gaps = kept.at[: np.searchsorted(kept.at, 64 * count)]
+        words = _words_with_bits(gaps, count)
+        return np.invert(words, out=words)
+    return kept[:count]
+
+
+def _acc_truncated(acc: _Acc | _Gaps, bound: int, to: int) -> _Acc:
+    """The accumulator up to to <= bound, from the one up to bound or as
+    `_kept` keeps it: a prefix of the same bits, in to's form."""
+    if isinstance(acc, _Gaps) and to < _WORD_SIEVE_MIN_BOUND:  # all ones but a few gaps
+        gaps = acc.at[: np.searchsorted(acc.at, to, "right")].tolist()
+        return ((1 << (to + 1)) - 1) ^ sum(1 << g for g in gaps)
     if bound >= _WORD_SIEVE_MIN_BOUND:
-        acc = int.from_bytes(acc[: (to + 64) // 64].tobytes(), "little")
+        acc = _kept_words(acc, (to + 64) // 64)
+        if to >= _WORD_SIEVE_MIN_BOUND:
+            return _mask_tail(np.array(acc), to)
+        acc = int.from_bytes(acc.tobytes(), "little")
     return acc & ((1 << (to + 1)) - 1)
 
 
@@ -875,110 +900,134 @@ def represented_set(
     domain: Domain = Domain.NONNEG,
     bound_cap: int = DEFAULT_BOUND_CAP,
 ) -> RepresentedSet:
-    """Sieve all represented values <= bound by iterated sumset shift-or, the
-    coefficients in `_step_order`.
+    """Sieve all represented values <= bound by iterated sumset shift-or,
+    from `_WORD_SIEVE_MIN_BOUND` up on a `_SievePath` in `_step_order`.
 
-    The chain of the last word sieve (bound >= `_WORD_SIEVE_MIN_BOUND`) is
+    The path of the last word sieve (bound >= `_WORD_SIEVE_MIN_BOUND`) is
     kept (`_LAST_SIEVE`).  A later call for the same form and domain is a
-    truncation of its set at a bound no larger, and at a larger bound
-    resumes it (`_word_sieve`), in its step order, sieving only the new
-    range; a call for another form or domain drops it first.
+    cut of its set at a bound no larger, and at a larger bound resumes it,
+    in its step order, sieving only the new range; a call for another form
+    or domain drops it first.
     """
     global _LAST_SIEVE
     _check_bound(bound, bound_cap)
-    last = _LAST_SIEVE
-    if last is not None and (last.form, last.domain) != (form, domain):
-        last = _LAST_SIEVE = None
-    if last is not None and bound <= last.bound:
-        words = np.array(_kept_words(last.accs[-1], (bound + 64) // 64))
-        return RepresentedSet(form, domain, bound, _mask_tail(words, bound).tobytes())
-    if bound < _WORD_SIEVE_MIN_BOUND:
-        for acc in _sieve_accs(form.m, form.coeffs, domain, bound):
-            pass  # keep only the last accumulator alive
-        return RepresentedSet(form, domain, bound, _acc_words(acc, bound))
-    _LAST_SIEVE = None  # extended below; a failed sieve leaves no chain
-    order = _step_order(form.m, form.coeffs, domain, bound) if last is None else last.order
-    accs = _word_sieve(form.m, order, domain, bound, last)
-    rset = RepresentedSet(form, domain, bound, accs[-1].tobytes())
-    accs[-1] = _kept(np.frombuffer(rset.words, dtype="<u8"), bound)
-    _LAST_SIEVE = _Chain(form, domain, bound, order, accs)
-    return rset
+    path, _LAST_SIEVE = _LAST_SIEVE, None  # kept again below: a failed sieve leaves no path
+    if path is not None and (path.form, path.domain) != (form, domain):
+        path = None  # dropped before anything is allocated
+    if path is None:
+        if bound < _WORD_SIEVE_MIN_BOUND:
+            for acc in _sieve_accs(form.m, form.coeffs, domain, bound):
+                pass  # keep only the last accumulator alive
+            return RepresentedSet(form, domain, bound, _acc_words(acc, bound))
+        path = _SievePath(form.m, domain, _step_order(form.m, form.coeffs, domain, bound))
+    words = path.words(bound)
+    _LAST_SIEVE = path
+    return RepresentedSet(form, domain, bound, words)
 
 
-@dataclass(frozen=True)
-class _Gaps:
-    """A dense accumulator as a chain keeps it: the positions of its clear
-    bits up to its bound."""
+class _SievePath:
+    """The prefixes order[:1], order[:2], ... of a coefficient sequence over
+    one (m, domain), pushed and popped one coefficient at a time, each with
+    its widest window and its accumulator there as `_kept` keeps it, but the
+    first prefix at a word window, whose accumulator (None) is remade from
+    its values.
 
-    at: np.ndarray
-
-
-@dataclass
-class _Chain:
-    """The chain of `represented_set`'s last word sieve: its form, domain,
-    bound and step order, and the accumulators of the forms order[:2], ...,
-    order up to the bound (that of order[:1] is remade from its values),
-    each as `_kept` keeps it."""
-
-    form: MgonalForm
-    domain: Domain
-    bound: int
-    order: tuple[int, ...]
-    accs: list[np.ndarray | _Gaps | None]
-
-
-_LAST_SIEVE: _Chain | None = None
-
-
-def _kept(words: np.ndarray, bound: int) -> np.ndarray | _Gaps:
-    """Words as a chain keeps them: as they are, or, when they have at most
-    one gap per `_GAP_SPACING` bits (as `_shift_or_words` counts them), the
-    positions of the gaps, which take at most an eighth of their bytes."""
-    if 64 * words.size - int(np.bitwise_count(words).sum()) <= 64 * words.size // _GAP_SPACING:
-        return _Gaps(_clear_bits(words, bound))
-    return words
-
-
-def _kept_words(kept: np.ndarray | _Gaps, count: int) -> np.ndarray:
-    """The first count words of an accumulator that a chain keeps: a view of
-    them when it keeps its words; made from its gaps, with the bits past its
-    bound set, which the caller cuts."""
-    if isinstance(kept, _Gaps):
-        gaps = kept.at[: np.searchsorted(kept.at, 64 * count)]
-        words = _words_with_bits(gaps, count)
-        return np.invert(words, out=words)
-    return kept[:count]
-
-
-def _word_sieve(m: int, order: tuple[int, ...], domain: Domain, bound: int, last: _Chain | None) -> list:
-    """The word accumulators of the forms order[:2], ..., order up to bound
-    (just the last for rank 1), each but the last as `_kept` keeps it once
-    the next is made.  The first coefficient's values are the positions of
-    its accumulator's bits, passed as such to the step after it.
-
-    With last, the chain of the same form at a smaller bound in this order,
-    each step computes only the words from the one that holds bit
-    last.bound + 1 on, and takes the words below it from last, whose
-    accumulators it drops as it goes.
+    The last prefix at a window w (`words`, `first_missing`) is cut from the
+    deepest prefix that holds w; each later one is one step on its parent's
+    at w (`_step`), which resumes the prefix's narrower word accumulator.
+    A path of depth d keeps at most d - 1 word arrays of (window + 64) / 8
+    bytes, a dense one's gaps in an eighth of that; a step adds its output,
+    a shifted copy, a temporary and at most one cut prefix: d + 3 arrays,
+    128 MiB at depth 5 and `DEFAULT_BOUND_CAP`.
     """
-    nwords = (bound + 64) // 64
-    pos = order[0] * _step_values(m, bound // order[0], domain)
-    if len(order) == 1:
-        return [_words_with_bits(pos, nwords)]
-    start = 0 if last is None else (last.bound + 1) >> 6
-    accs: list = []
-    for k, a in enumerate(order[1:]):
-        head = None
-        if last is not None:
-            head = _kept_words(last.accs[k], start)
-            last.accs[k] = None
-        values = _step_values(m, bound // a, domain)
-        acc = _shift_or_words(accs[-1] if k else None, a, values, bound, head, None if k else pos)
-        del head
-        if accs:
-            accs[-1] = _kept(accs[-1], bound)
-        accs.append(acc)
-    return accs
+
+    def __init__(self, m: int, domain: Domain, order: Iterable[int] = ()) -> None:
+        self.m = m
+        self.domain = domain
+        self.order: tuple[int, ...] = ()
+        self.windows: list[int] = []
+        self.accs: list[_Acc | _Gaps | None] = []
+        for a in order:
+            self.push(a)
+
+    @property
+    def form(self) -> MgonalForm:
+        return MgonalForm.make(self.m, self.order)
+
+    @property
+    def bound(self) -> int:
+        """The last prefix's widest window."""
+        return self.windows[-1]
+
+    def push(self, a: int) -> None:
+        self.order += (a,)
+        self.windows.append(0)
+        self.accs.append(None)
+
+    def pop(self) -> None:
+        self.order = self.order[:-1]
+        self.windows.pop()
+        self.accs.pop()
+
+    def words(self, w: int) -> bytes:
+        """The MGRS body of the last prefix's sieve up to w."""
+        acc = self._acc(w)
+        body = _acc_words(acc, w)
+        if self.accs[-1] is acc and w >= _WORD_SIEVE_MIN_BOUND:
+            self.accs[-1] = np.frombuffer(body, dtype="<u8")  # keep the body, not a copy of it
+        return body
+
+    def first_missing(self, w: int) -> int | None:
+        """Smallest positive integer <= w that the last prefix misses, else
+        None: the first of its gaps when it keeps them."""
+        acc, kept = self._acc(w), self.accs[-1]
+        if isinstance(kept, _Gaps):  # bit 0, the empty sum, is set
+            return int(kept.at[0]) if kept.at.size and kept.at[0] <= w else None
+        return _acc_first_missing(acc, w)
+
+    def _acc(self, w: int) -> _Acc:
+        """The last prefix's accumulator at window w."""
+        windows, accs = self.windows, self.accs
+        d = len(windows) - 1
+        while d >= 0 and (windows[d] < w or accs[d] is None):
+            d -= 1
+        if d < 0:
+            d, acc = 0, self._first(w)
+            if w >= windows[0]:
+                windows[0], accs[0] = w, acc if w < _WORD_SIEVE_MIN_BOUND else None
+            if len(windows) == 1 and w >= _WORD_SIEVE_MIN_BOUND:
+                return _words_with_bits(acc, (w + 64) // 64)
+        elif windows[d] == w and not isinstance(accs[d], _Gaps):
+            acc = accs[d]
+        else:
+            acc = _acc_truncated(accs[d], windows[d], w)
+        for k in range(d + 1, len(windows)):
+            acc = self._step(k, acc, w)
+            windows[k], accs[k] = w, acc if w < _WORD_SIEVE_MIN_BOUND else _kept(acc, w)
+        return acc
+
+    def _first(self, w: int) -> _Acc:
+        """The first prefix's accumulator at window w; at a word window the
+        ascending positions of its bits, which the next step takes as such."""
+        if w < _WORD_SIEVE_MIN_BOUND:
+            return _first_acc(self.m, self.order[0], self.domain, w)
+        return self.order[0] * _step_values(self.m, w // self.order[0], self.domain)
+
+    def _step(self, k: int, acc: _Acc, w: int) -> _Acc:
+        """Prefix k's accumulator at window w, one sumset step on acc, its
+        parent's; from a narrower word window, only the new words."""
+        a = self.order[k]
+        values = _step_values(self.m, w // a, self.domain)
+        if w < _WORD_SIEVE_MIN_BOUND:
+            return _shift_or_int(acc, a, values.tolist(), w)
+        window = self.windows[k]
+        head = _kept_words(self.accs[k], (window + 1) >> 6) if window >= _WORD_SIEVE_MIN_BOUND else None
+        if k == 1:
+            return _shift_or_words(None, a, values, w, head, acc)
+        return _shift_or_words(acc, a, values, w, head)
+
+
+_LAST_SIEVE: _SievePath | None = None
 
 
 # A truant search sieves windows of 16, 64, 256, ... bits, capped at its

@@ -579,6 +579,42 @@ class TestCacheLayer:
         out = capsys.readouterr()
         assert out.out == "" and "past bound" in out.err
 
+    @pytest.mark.parametrize("bound, code", [(-5, 2), (0, 2), (1 << 30, 3)])
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache-dir", "populated-cache-dir"])
+    def test_bound_refused_before_the_cache_is_listed(self, tmp_path, capsys, monkeypatch, bound, code, cached):
+        # a cache file that holds the form must not answer a bound below 1
+        # or past the cap: the bound is checked before any file is listed
+        monkeypatch.delenv("MGONAL_CACHE_DIR", raising=False)
+        argv = ["set", "--m", "5", "--coeffs", "1,1,1"]
+        cache = ["--cache-dir", str(tmp_path)]
+        assert run_cli(capsys, *argv, "--bound", "1000", *cache)[0] == 0
+        with mock.patch.object(cli, "_cache_candidates", side_effect=AssertionError("cache listed")):
+            assert main([*argv, "--bound", str(bound), *(cache if cached else [])]) == code
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert [p.name for p in tmp_path.glob("*.bin")] == [cache_file_name(MgonalForm.make(5, [1, 1, 1]), Domain.NONNEG, 1000)]
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache-dir", "populated-cache-dir"])
+    def test_escalate_from_bound_zero_exits_2(self, tmp_path, capsys, monkeypatch, cached):
+        # doubling a bound of 0 stays 0: the first lookup must refuse it, not loop
+        monkeypatch.delenv("MGONAL_CACHE_DIR", raising=False)
+        argv = ["truant", "--m", "5", "--coeffs", "1,1,1"]
+        cache = ["--cache-dir", str(tmp_path)]
+        assert run_cli(capsys, "set", *argv[1:], "--bound", "1000", *cache)[0] == 0
+        real, calls = cli.load_or_build_set, []
+
+        def counted(*args):
+            calls.append(args[1])
+            if len(calls) > 3:
+                raise AssertionError(f"looped over bounds {calls}")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "load_or_build_set", counted)
+        assert main([*argv, "--bound", "0", "--escalate", *(cache if cached else [])]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+        assert calls == ([0] if cached else [])
+
     def test_bound_in_name_must_match_header(self, tmp_path):
         f = MgonalForm.make(6, [1, 2])
         blob = represented_set(f, 200).to_bytes()

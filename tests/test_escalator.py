@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from collections import Counter
 
 import pytest
@@ -10,7 +9,14 @@ from mgonal import escalator
 from mgonal.errors import ResourceLimitError
 from mgonal.forms import Domain, MgonalForm
 from mgonal.local import _canonical_target, _prime_factors, _vp, locally_represented, quad_diag_represents_zp
-from mgonal.represent import _WORD_SIEVE_MIN_BOUND, DEFAULT_BOUND_CAP, represented_set, represents, truant_up_to
+from mgonal.represent import (
+    _WORD_SIEVE_MIN_BOUND,
+    DEFAULT_BOUND_CAP,
+    _SievePath,
+    represented_set,
+    represents,
+    truant_up_to,
+)
 from mgonal.escalator import (
     build_tree,
     exceptions,
@@ -161,6 +167,8 @@ def reference_gamma(m: int, bound: int, max_depth: int) -> tuple[int, tuple[int,
 @example(5, 4, 65536)  # a window edge
 @example(4, 5, 65537)
 @example(5, 4, _WORD_SIEVE_MIN_BOUND + 1)  # word accumulators, cut to narrower windows
+@example(4, 4, (1 << 19) + 5)  # every node widens its 2^18 word window to the bound
+@example(6, 4, (1 << 20) + 3)
 @example(20, 5, 3000)
 def test_tree_and_gamma_match_full_bound_sieves(m, depth, bound):
     assert build_tree(m, depth, bound).to_json_dict() == reference_tree(m, depth, bound)
@@ -172,14 +180,13 @@ def test_tree_steps_follow_the_truants(monkeypatch):
     # every sieve step of the walk, by (node, window): none past 4x the
     # largest truant, none repeated
     steps = Counter()
-    real = escalator._sieve_step
+    real = _SievePath._step
 
-    def counting(acc, m, a, domain, bound):
-        frame = sys._getframe(1).f_locals  # _TreePath._acc, stepping depth k
-        steps[tuple(node.coeff for node in frame["nodes"][: frame["k"] + 1]), bound] += 1
-        return real(acc, m, a, domain, bound)
+    def counting(path, k, acc, w):
+        steps[path.order[: k + 1], w] += 1
+        return real(path, k, acc, w)
 
-    monkeypatch.setattr(escalator, "_sieve_step", counting)
+    monkeypatch.setattr(_SievePath, "_step", counting)
     tree = build_tree(8, 4, 10**6)
     largest = max(node.truant for node in tree_nodes(tree))
     assert steps and max(w for _, w in steps) <= 4 * largest
@@ -191,13 +198,13 @@ def test_tree_steps_follow_the_truants(monkeypatch):
 
 def test_gamma_chain_walks_one_path(monkeypatch):
     steps = []
-    real = escalator._sieve_step
+    real = _SievePath._step
 
-    def counting(acc, m, a, domain, bound):
-        steps.append(bound)
-        return real(acc, m, a, domain, bound)
+    def counting(path, k, acc, w):
+        steps.append(w)
+        return real(path, k, acc, w)
 
-    monkeypatch.setattr(escalator, "_sieve_step", counting)
+    monkeypatch.setattr(_SievePath, "_step", counting)
     monkeypatch.setattr(escalator, "build_tree", lambda *args: escalator.EscalatorNode(None, 1, None))
     assert gamma_estimate(200, 10**4, 3).gamma_lower == 199
     # a step per rank, and the ranks below each window change re-stepped once
@@ -214,8 +221,8 @@ def test_bound_past_the_cap_sieves_nothing(monkeypatch, call):
     def fail(*args):
         raise AssertionError("sieved past the cap")
 
-    monkeypatch.setattr(escalator, "_sieve_step", fail)
-    monkeypatch.setattr(escalator, "_first_acc", fail)
+    monkeypatch.setattr(_SievePath, "_step", fail)
+    monkeypatch.setattr(_SievePath, "_first", fail)
     with pytest.raises(ResourceLimitError):
         call()
 

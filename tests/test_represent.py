@@ -882,7 +882,7 @@ def test_truant_past_the_bound_cap_sieves_nothing(monkeypatch):
 
 
 def fresh_words(form, bound, domain):
-    """The MGRS body of the ascending sieve, which keeps no chain."""
+    """The MGRS body of the ascending sieve, which keeps no path."""
     for acc in _sieve_accs(form.m, form.coeffs, domain, bound):
         pass
     return _acc_words(acc, bound)
@@ -931,9 +931,44 @@ def test_truncation_hit_is_a_fresh_sieve(m, coeffs, domain, extra, shares):
     represented_set(form, bound, domain)
     for share in shares:
         small = max(1, round(bound * share))
-        with mock.patch.multiple(represent, _sieve_accs=None, _word_sieve=None):
+        with mock.patch.object(represent, "_sieve_accs", None), mock.patch.object(represent._SievePath, "_step", None):
             got = represented_set(form, small, domain)
         assert got == RepresentedSet(form, domain, small, fresh_words(form, small, domain))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.sampled_from(list(Domain)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["push", "pop", "query"]),
+            st.integers(1, 8),
+            st.one_of(st.integers(1, 5000), st.integers(_WORD_SIEVE_MIN_BOUND - 3000, 3 * _WORD_SIEVE_MIN_BOUND)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@example(3, Domain.NONNEG, [  # <1,1,1>_3 is dense: kept as its gaps, resumed, cut
+    ("push", 1, 140000), ("push", 1, 140000), ("push", 1, 140000), ("query", 1, 300000),
+    ("pop", 1, 200000), ("push", 2, 150000), ("query", 1, 100),
+])
+def test_sieve_path_queries_are_fresh_sieves(m, domain, ops):
+    """Through pushes, pops, cuts of wider windows and resumed narrower
+    ones, each query of a `_SievePath` is the sieve of its prefix at that
+    window from zero, and each first miss that sieve's."""
+    path = represent._SievePath(m, domain)
+    for op, a, w in ops:
+        if op == "pop" and len(path.order) > 1:
+            path.pop()
+        if op == "push" or not path.order:
+            path.push(a)
+        for acc in _sieve_accs(m, path.order, domain, w):
+            pass
+        want = RepresentedSet(None, domain, w, _acc_words(acc, w))
+        assert path.first_missing(w) == want.first_missing(1)
+        assert path.words(w) == want.words
 
 
 def test_another_form_or_domain_drops_the_chain_before_sieving(monkeypatch):

@@ -89,8 +89,12 @@ def test_local_decides_without_a_grid_walk():
 def test_bit_vector_layout_stays_in_represent():
     # the set's layout, the MGRS body, is represent.py's business: other
     # modules ask a RepresentedSet for values (or compare its words), not
-    # for its big int or the helpers that read and write the body
-    assert private_uses("represent.py", {"bits", "_acc_words", "_set_bits", "_mask_tail"}) == []
+    # for its big int or the helpers that read and write the body; nor do
+    # they name the sieve accumulator's forms (a big int, then words), but
+    # ask a `_SievePath` for a prefix's words or first miss
+    layout = {"bits", "_acc_words", "_set_bits", "_mask_tail"}
+    accumulator = {"_Acc", "_acc_truncated", "_acc_first_missing", "_first_acc", "_sieve_step"}
+    assert private_uses("represent.py", layout | accumulator) == []
 
 
 def test_every_export_is_defined():
@@ -150,9 +154,8 @@ def represent_callers(name):
 
 
 def test_pair_sums_only_inside_the_word_step():
-    # one sieve primitive: `_sieve_step`, the escalator's tree path and the
-    # suffix masks reach the pair sums through `_shift_or_words`, never on
-    # their own
+    # one sieve primitive: `_SievePath`, `_sieve_step` and the suffix masks
+    # reach the pair sums through `_shift_or_words`, never on their own
     assert private_uses("represent.py", {"_pair_sums"}) == []
     assert represent_callers("_pair_sums") == {"_shift_or_words"}
 
@@ -166,7 +169,7 @@ def test_gap_tests_only_inside_the_word_step():
 
 def test_only_the_full_sieve_keeps_the_last_chain():
     # a resumed sieve must start from what this process sieved: only
-    # represented_set reads or writes the chain it keeps, so no cache file,
+    # represented_set reads or writes the path it keeps, so no cache file,
     # suffix mask or tree path can stand in for it
     assert private_uses("represent.py", {"_LAST_SIEVE"}) == []
     assert represent_users("_LAST_SIEVE") == {"represented_set"}
