@@ -80,26 +80,28 @@ class EscalatorNode:
 
 class _TreePath:
     """The forms along one root-to-node path of an escalator tree on one
-    `_SievePath`, and for each the window its truant search stopped at
-    (before the search, where it starts: its parent's)."""
+    `_SievePath`, and for each, the root first, its coefficient sum and the
+    window its truant search stopped at (before the search, its parent's)."""
 
     def __init__(self, m: int, bound: int) -> None:
         _check_bound(bound)
         self.bound = bound
         self.sieve = _SievePath(m, Domain.NONNEG)
-        self.searched: list[int] = []
+        self.totals, self.searched = [0], [_truant_window(1, bound)]
 
     def push(self, c: int) -> None:
         self.sieve.push(c)
-        self.searched.append(self.searched[-1] if self.searched else _truant_window(1, self.bound))
+        self.totals.append(self.totals[-1] + c)
+        self.searched.append(self.searched[-1])
 
     def pop(self) -> None:
         self.sieve.pop()
+        self.totals.pop()
         self.searched.pop()
 
     def truant(self) -> int | None:
         """Truant of the path's last form up to the bound, as `node_truant` defines it."""
-        s = sum(self.sieve.order)
+        s = self.totals[-1]
         shortcut = s < self.sieve.m - 1
         if shortcut:
             if self.bound < s + 1:
@@ -181,7 +183,7 @@ def build_tree(
             universal_up_to=bound if t is None else None,
         )
         parent.children.append(node)
-        if t is not None and len(path.searched) < max_depth:
+        if t is not None and len(path.sieve.order) < max_depth:
             stack.append((node, iter(range(c, t + 1))))
         else:
             path.pop()

@@ -37,14 +37,12 @@ and the shifts (`_pair_sums`) when a cost model says that is cheaper.  Only
 this module knows the two forms: other modules ask a `_SievePath` for words
 or a first miss.
 
-A `_SievePath` keeps one accumulator per prefix of the coefficients, cuts
-a narrower window from a wider one, steps a prefix from its parent, and
-widens a prefix's word window by its new words only.  A tree walk pushes
-and pops its nodes on one, so siblings share their parent's sieves.
-`represented_set` keeps the path of its last word sieve (`_LAST_SIEVE`), so
-a cache extension, each `truant --escalate` doubling and each truant window
-past 2^17 sieves only the new range; a cache file is checked against a
-sieve, never fed into the path.
+A `_SievePath` keeps one accumulator per prefix of the coefficients and
+widens a prefix's word window by its new words only; a tree walk pushes and
+pops its nodes on one.  `represented_set` keeps the path of its last word
+sieve (`_LAST_SIEVE`), so a cache extension, each `truant --escalate`
+doubling and each truant window past 2^17 sieves only the new range; a
+cache file is checked against a sieve, never fed into the path.
 
 `represented_set` pushes its steps in a planned order (`_step_order`): a
 sumset is the same in any order, but a step costs next to nothing once its
@@ -659,8 +657,7 @@ class _Gaps:
 def _kept(acc: np.ndarray, bound: int) -> np.ndarray | _Gaps:
     """Words as a `_SievePath` keeps them: as they are, or, with at most one
     gap per `_GAP_SPACING` bits (as `_shift_or_words` counts them), the
-    positions of the gaps, at most an eighth of their bytes.  (A big-int
-    accumulator is kept as it is.)"""
+    positions of the gaps, at most an eighth of their bytes."""
     if 64 * acc.size - int(np.bitwise_count(acc).sum()) <= 64 * acc.size // _GAP_SPACING:
         return _Gaps(_clear_bits(acc, bound))
     return acc
@@ -680,23 +677,29 @@ def _kept_words(kept: np.ndarray | _Gaps, count: int) -> np.ndarray:
 def _acc_truncated(acc: _Acc | _Gaps, bound: int, to: int) -> _Acc:
     """The accumulator up to to <= bound, from the one up to bound or as
     `_kept` keeps it: a prefix of the same bits, in to's form."""
-    if isinstance(acc, _Gaps) and to < _WORD_SIEVE_MIN_BOUND:  # all ones but a few gaps
-        gaps = acc.at[: np.searchsorted(acc.at, to, "right")].tolist()
-        return ((1 << (to + 1)) - 1) ^ sum(1 << g for g in gaps)
+    if isinstance(acc, _Gaps) and to < _WORD_SIEVE_MIN_BOUND:  # a tree walk's frequent cut: no numpy
+        body = bytearray(b"\xff" * ((to + 8) >> 3))
+        for g in acc.at[: np.searchsorted(acc.at, to, "right")].tolist():
+            body[g >> 3] ^= 1 << (g & 7)
+        return int.from_bytes(body, "little") & ((1 << (to + 1)) - 1)
     if bound >= _WORD_SIEVE_MIN_BOUND:
-        acc = _kept_words(acc, (to + 64) // 64)
-        if to >= _WORD_SIEVE_MIN_BOUND:
-            return _mask_tail(np.array(acc), to)
-        acc = int.from_bytes(acc.tobytes(), "little")
+        words = _kept_words(acc, (to + 64) // 64)
+        if to >= _WORD_SIEVE_MIN_BOUND:  # words made from gaps are new, a view is copied
+            return _mask_tail(words if isinstance(acc, _Gaps) else np.array(words), to)
+        acc = int.from_bytes(words.tobytes(), "little")
     return acc & ((1 << (to + 1)) - 1)
 
 
-def _sieve_step(acc: _Acc, m: int, a: int, domain: Domain, bound: int) -> _Acc:
-    """One sumset step: OR over values v = P_m(x) of acc << a*v, masked to [0, bound]."""
+def _sieve_step(
+    acc: _Acc | None, m: int, a: int, domain: Domain, bound: int,
+    head: np.ndarray | None = None, pos: np.ndarray | None = None,
+) -> _Acc:
+    """One sumset step: OR over values v = P_m(x) of acc << a*v, masked to
+    [0, bound]; at a word bound, head and pos as `_shift_or_words` takes them."""
     values = _step_values(m, bound // a, domain)
     if bound < _WORD_SIEVE_MIN_BOUND:
         return _shift_or_int(acc, a, values.tolist(), bound)
-    return _shift_or_words(acc, a, values, bound)
+    return _shift_or_words(acc, a, values, bound, head, pos)
 
 
 def _check_bound(bound: int, cap: int = DEFAULT_BOUND_CAP) -> None:
@@ -979,7 +982,7 @@ class _SievePath:
 
     def first_missing(self, w: int) -> int | None:
         """Smallest positive integer <= w that the last prefix misses, else
-        None: the first of its gaps when it keeps them."""
+        None: the first of its gaps, unscanned, when it keeps them."""
         acc, kept = self._acc(w), self.accs[-1]
         if isinstance(kept, _Gaps):  # bit 0, the empty sum, is set
             return int(kept.at[0]) if kept.at.size and kept.at[0] <= w else None
@@ -1016,15 +1019,11 @@ class _SievePath:
     def _step(self, k: int, acc: _Acc, w: int) -> _Acc:
         """Prefix k's accumulator at window w, one sumset step on acc, its
         parent's; from a narrower word window, only the new words."""
-        a = self.order[k]
-        values = _step_values(self.m, w // a, self.domain)
-        if w < _WORD_SIEVE_MIN_BOUND:
-            return _shift_or_int(acc, a, values.tolist(), w)
-        window = self.windows[k]
+        window, pos = self.windows[k], None
         head = _kept_words(self.accs[k], (window + 1) >> 6) if window >= _WORD_SIEVE_MIN_BOUND else None
-        if k == 1:
-            return _shift_or_words(None, a, values, w, head, acc)
-        return _shift_or_words(acc, a, values, w, head)
+        if k == 1 and w >= _WORD_SIEVE_MIN_BOUND:
+            acc, pos = None, acc  # the first prefix's bit positions
+        return _sieve_step(acc, self.m, self.order[k], self.domain, w, head, pos)
 
 
 _LAST_SIEVE: _SievePath | None = None
