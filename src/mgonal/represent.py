@@ -49,10 +49,11 @@ sumset is the same in any order, but a step costs next to nothing once its
 input is dense, and m-gonal forms of rank >= 5 are almost regular, so some
 sub-form is often dense already.  From `_WORD_SIEVE_MIN_BOUND` up, for
 ranks 3 to `_PLAN_MAX_RANK`, a pilot sieves sub-forms exactly on 2^11 bits
-(`_pilot`), predicts from their gaps which are dense at the bound, and the
-cheapest dense one under a step-cost model is sieved first, its steps
-ascending with its costliest step last; the order stays ascending unless the
-plan is modelled at most four fifths of the ascending cost.  The suffix
+(`_pilot`, memoized per sub-form: it does not depend on the bound), predicts
+from their gaps which are dense at the bound, and the cheapest dense one
+under a step-cost model is sieved first, its steps ascending with its
+costliest step last; the order stays ascending unless the plan is modelled
+at most four fifths of the ascending cost.  The suffix
 masks and the escalator tree path keep their fixed order: they need those
 exact sub-forms.
 
@@ -131,6 +132,8 @@ class RepresentedSet:
         return gaps[np.searchsorted(gaps, start) :].tolist()
 
     def truncated(self, bound: int) -> "RepresentedSet":
+        if bound < 0:
+            raise ValueError(f"cannot truncate to negative bound {bound}")
         if bound > self.bound:
             raise ValueError(f"cannot truncate to larger bound {bound} > {self.bound}")
         words = np.frombuffer(self.words, dtype="<u8", count=(bound + 64) // 64).copy()
@@ -623,7 +626,15 @@ def _first_acc(m: int, a: int, domain: Domain, bound: int) -> _Acc:
 
 
 def _sieve_accs(m: int, coeffs: Sequence[int], domain: Domain, bound: int) -> Iterator[_Acc]:
-    """Accumulators of the forms coeffs[:1], coeffs[:2], ..., up to bound."""
+    """Accumulators of the forms coeffs[:1], coeffs[:2], ..., up to bound.
+
+    This fresh chain makes the witness search's suffix masks and the sets
+    below the word path.  A `_SievePath` pushed in the same order gives the
+    same accumulators but costs more per call: the 497 first-window mask
+    builds of witness_queries seeds 7 and 8 took 20.0-21.0 ms a pass on a
+    path against 18.0-19.3 ms here, and the masks of <1,1,2,3,5>_7 at w = 500
+    16.2-16.6 us against 11.7-12.8 us.
+    """
     acc = _first_acc(m, coeffs[0], domain, bound)
     yield acc
     for a in coeffs[1:]:
@@ -753,27 +764,14 @@ _DENSE_OUTPUT_SHARE = 0.5
 # sieves ran more than 10% slower; with 0.9, 0.85 and 19 (and the 1.5x
 # plan above); with 0.7, 0.94 and 4.
 _PLAN_MARGIN = 0.8
-# (m, domain is Z, sub-form) -> its pilot (`_pilot`), least recently used
-# first, at most about 0.5 KB each.  A pilot does not depend on the bound, and
-# sub-forms recur: the sub-forms a plan tests share their prefixes, and the
-# forms of an audit share their first coefficients.  (A sieve resumed to a
-# larger bound keeps its order and plans nothing.)
-_PILOTS: dict[tuple[int, bool, tuple[int, ...]], tuple[int, int, float, int | None]] = {}
-_PILOTS_MAX = 256
-
-
-@functools.lru_cache(maxsize=16)
-def _polygonal_residues(m: int) -> frozenset[int]:
-    """The residues mod 8 of P_m(x), for m mod 16: they have period 16 in
-    x, so they are the same over N_0 and over Z."""
-    return frozenset(((m - 2) * x * x - (m - 4) * x) // 2 & 7 for x in range(16))
 
 
 @functools.lru_cache(maxsize=128)
 def _shift_residues(m: int, a: int) -> int:
     """How many nonzero residues mod 8 the shifts a*P_m(x) take, for m mod
-    16 and a mod 8: the most bit-shifted copies of acc a band makes."""
-    return len({a * r & 7 for r in _polygonal_residues(m)} - {0})
+    16 and a mod 8: the most bit-shifted copies of acc a band makes.  P_m(x)
+    mod 8 has period 16 in x, so it takes the same residues over N_0 and Z."""
+    return len({a * (((m - 2) * x * x - (m - 4) * x) // 2) & 7 for x in range(16)} - {0})
 
 
 def _step_cost(m: int, a: int, domain: Domain, bound: int) -> int:
@@ -785,14 +783,18 @@ def _step_cost(m: int, a: int, domain: Domain, bound: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _pilot_values(m: int, domain: Domain) -> tuple[int, ...]:
-    """The values P_m(x) <= `_PILOT_BITS` over the domain, ascending."""
-    return tuple(_step_values(m, _PILOT_BITS, domain).tolist())
+def _pilot_values(m: int, is_int: bool) -> tuple[int, ...]:
+    """The values P_m(x) <= `_PILOT_BITS` over Z or N_0, ascending."""
+    return tuple(_step_values(m, _PILOT_BITS, Domain.INT if is_int else Domain.NONNEG).tolist())
 
 
-def _pilot(
-    m: int, domain: Domain, sub: tuple[int, ...], values: tuple[int, ...]
-) -> tuple[int, int, float, int | None]:
+# A pilot takes at most about 0.5 KB and does not depend on the bound, and
+# sub-forms recur: the sub-forms a plan tests share their prefixes, and the
+# forms of an audit share their first coefficients.  (A sieve resumed to a
+# larger bound keeps its order and plans nothing.)  The domain is keyed as a
+# bool, which hashes in C; an Enum member hashes in Python.
+@functools.lru_cache(maxsize=256)
+def _pilot(m: int, is_int: bool, sub: tuple[int, ...]) -> tuple[int, int, float, int | None]:
     """(gaps, g4, q, acc) of the sub-form with coefficients sub (ascending) on
     [0, w], w = `_PILOT_BITS`: its gaps in [1, w], those g4 in the upper half
     (w/2, w], g4 over those in the third quarter (w/4, w/2] (over 1 if there
@@ -802,24 +804,15 @@ def _pilot(
     prefix of values (`_pilot_values`) up to w // sub[-1]; one whose
     parent has no gaps on the window has none either, and is not sieved.
     """
-    key = (m, domain is Domain.INT, sub)  # an Enum member hashes in Python, a bool in C
-    got = _PILOTS.pop(key, None)
-    if got is None:
-        acc = _pilot(m, domain, sub[:-1], values)[3] if len(sub) > 1 else 1
-        if acc is None:
-            got = 0, 0, 0.0, None
-        else:
-            w = _PILOT_BITS
-            step = values[: bisect.bisect_right(values, w // sub[-1])]
-            acc = _shift_or_int(acc, sub[-1], step, w)
-            above = (acc >> (w // 2 + 1)).bit_count()
-            g3 = w // 4 - (acc >> (w // 4 + 1)).bit_count() + above
-            gaps = w + 1 - acc.bit_count()
-            got = gaps, w // 2 - above, (w // 2 - above) / max(g3, 1), acc if gaps else None
-        if len(_PILOTS) >= _PILOTS_MAX:
-            del _PILOTS[next(iter(_PILOTS))]
-    _PILOTS[key] = got
-    return got
+    acc = _pilot(m, is_int, sub[:-1])[3] if len(sub) > 1 else 1
+    if acc is None:
+        return 0, 0, 0.0, None
+    w, values = _PILOT_BITS, _pilot_values(m, is_int)
+    acc = _shift_or_int(acc, sub[-1], values[: bisect.bisect_right(values, w // sub[-1])], w)
+    above = (acc >> (w // 2 + 1)).bit_count()
+    g3 = w // 4 - (acc >> (w // 4 + 1)).bit_count() + above
+    gaps = w + 1 - acc.bit_count()
+    return gaps, w // 2 - above, (w // 2 - above) / max(g3, 1), acc if gaps else None
 
 
 def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> tuple[int, ...]:
@@ -853,45 +846,37 @@ def _step_order(m: int, coeffs: tuple[int, ...], domain: Domain, bound: int) -> 
     cost = [_step_cost(m, a, domain, bound) for a in rest]
     most = 64 * ((bound + 64) // 64) // _GAP_SPACING  # as in _shift_or_words
     d = math.log2((bound + 1) / _PILOT_BITS)
-    values = _pilot_values(m, domain)
-    subs = {0: coeffs[:1]}  # mask -> coeffs[0] and rest[i] for the bits i of mask
+    is_int = domain is Domain.INT
 
-    def sub_of(mask: int) -> tuple[int, ...]:
-        sub = subs.get(mask)
-        if sub is None:
-            top = mask.bit_length() - 1
-            sub = subs[mask] = sub_of(mask ^ (1 << top)) + (rest[top],)
-        return sub
-
-    def dense(mask: int) -> bool:
-        """Whether the sub-form of a mask is predicted dense at the bound."""
-        gaps, g4, q, _ = _pilot(m, domain, sub_of(mask), values)
+    def dense(sub: tuple[int, ...]) -> bool:
+        """Whether the sub-form with coefficients sub is predicted dense at the bound."""
+        gaps, g4, q, _ = _pilot(m, is_int, sub)
         return gaps + g4 * (d if q == 1 else q * (q**d - 1) / (q - 1)) <= most
 
     # the values of a binary form have density 0: no sub-form of rank 2 is
     # dense, none is a plan
     ascending = cost[0]
     for k in range(1, len(rest)):
-        if dense((2 << k) - 1):
+        if dense(coeffs[: k + 2]):
             ascending += _DENSE_OUTPUT_SHARE * cost[k]
             break
         ascending += cost[k]
     else:
         return coeffs  # a sub-form has all the gaps of the whole form, and more
-    # each sub-multiset once, with the first ones of equal coefficients
-    repeats = sum(1 << i for i in range(1, len(rest)) if rest[i] == rest[i - 1])
+    # a sub-multiset of repeated coefficients has several masks, all with one
+    # price and one pilot: the least of them is tried first
     plans = []
     for mask in range(1, 1 << len(rest)):
-        if not mask & (mask - 1) or (mask & repeats) >> 1 & ~mask:
+        if not mask & (mask - 1):
             continue
         picked = [i for i in range(len(rest)) if mask >> i & 1]
         last = max(picked, key=cost.__getitem__)
-        planned = sum(cost[i] for i in picked) - (1 - _DENSE_OUTPUT_SHARE) * cost[last]
+        planned = sum(map(cost.__getitem__, picked)) - (1 - _DENSE_OUTPUT_SHARE) * cost[last]
         if planned <= _PLAN_MARGIN * ascending:
-            plans.append((planned, mask, last))
-    for _, mask, last in sorted(plans):
-        if dense(mask):
-            order = [i for i in range(len(rest)) if mask >> i & 1 and i != last] + [last]
+            plans.append((planned, mask, picked, last))
+    for _, mask, picked, last in sorted(plans):
+        if dense(coeffs[:1] + tuple(map(rest.__getitem__, picked))):
+            order = [i for i in picked if i != last] + [last]
             order += [i for i in range(len(rest)) if not mask >> i & 1]
             return coeffs[:1] + tuple(rest[i] for i in order)
     return coeffs
@@ -1063,8 +1048,11 @@ def truant_up_to(form: MgonalForm, bound: int, domain: Domain = Domain.NONNEG) -
 # --- witness search ---------------------------------------------------------
 
 # (m, coeffs_desc, domain) -> (window, suffix masks up to it, their bytes),
-# least recently used first
+# least recently used first, and the bytes of all its entries, kept as they
+# change: a sum over about 4300 first-window keys made each miss take ten
+# times as long as building the masks
 _SUFFIX_CACHE: dict[tuple, tuple[int, list[bytes], int]] = {}
+_SUFFIX_CACHE_BYTES = 0
 # The masks of all keys together take at most this many bytes, about a dozen
 # full windows of rank-5 forms or thousands of first windows; the key used
 # last stays whatever its size.
@@ -1100,14 +1088,16 @@ def _suffix_window(m: int, coeffs_desc: tuple[int, ...], domain: Domain, need: i
     all keys take more than `_SUFFIX_CACHE_MAX_BYTES`, the least recently
     used keys are dropped.
     """
+    global _SUFFIX_CACHE_BYTES
     key = (m, coeffs_desc, domain)
     cached = _SUFFIX_CACHE.pop(key, None)
     if cached is None or cached[0] < need:
+        _SUFFIX_CACHE_BYTES -= cached[2] if cached else 0  # a narrower window is dropped
         masks = _suffix_masks(m, coeffs_desc, domain, need)
         cached = need, masks, sum(map(len, masks))
-        size = cached[2] + sum(entry[2] for entry in _SUFFIX_CACHE.values())
-        while size > _SUFFIX_CACHE_MAX_BYTES and _SUFFIX_CACHE:
-            size -= _SUFFIX_CACHE.pop(next(iter(_SUFFIX_CACHE)))[2]
+        _SUFFIX_CACHE_BYTES += cached[2]
+        while _SUFFIX_CACHE_BYTES > _SUFFIX_CACHE_MAX_BYTES and _SUFFIX_CACHE:
+            _SUFFIX_CACHE_BYTES -= _SUFFIX_CACHE.pop(next(iter(_SUFFIX_CACHE)))[2]
     _SUFFIX_CACHE[key] = cached
     return cached[:2]
 

@@ -1,9 +1,16 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import shutil
+import signal
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mgonal import cli, local, represent
 from mgonal.cli import cache_file_name, load_or_build_set, main
@@ -627,3 +634,161 @@ class TestCacheLayer:
         (tmp_path / cache_file_name(f, Domain.NONNEG, 100)).write_bytes(blob)
         with pytest.raises(CacheFormatError, match="bound"):
             load_or_build_set(f, 500, Domain.NONNEG, tmp_path)
+
+
+# --- fuzz: any argument list answers, or exits 2 or 3, without a traceback ----
+
+# Forms whose sieves the populated cache directory holds, drawn more often
+# than others, so that cache hits, cuts and extensions are reached.
+_FUZZ_CACHED = [("5", "1,1,1"), ("3", "1"), ("4", "1,2"), ("7", "1,1,2,3,5")]
+_FUZZ_BAD_COEFFS = ["", " ", ",", "x", "1,,2", "1.5", "0", "-1,2", "1,0", "3,1,-2"]
+_FUZZ_EDGE_BOUNDS = (-5, 0, 1, (1 << 27) + 1)
+# the slowest valid call the strategies allow takes about 0.4 s on one core
+_FUZZ_CALL_SECONDS = 2.0
+
+
+class _SlowCall(BaseException):
+    """Raised by the alarm in a CLI call that overran its time; a BaseException
+    so that no handler in the CLI catches it."""
+
+
+def _fuzz_form(draw, verb):
+    if verb in ("set", "truant") and draw(st.booleans()):
+        m, coeffs = draw(st.sampled_from(_FUZZ_CACHED))
+        return ["--m", m, "--coeffs", coeffs]
+    if draw(st.integers(0, 4)):
+        coeffs = ",".join(map(str, draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))))
+    else:
+        coeffs = draw(st.sampled_from(_FUZZ_BAD_COEFFS))
+    return ["--m", _fuzz_int(draw, 3, 30, (0, 2, 3, 4)), "--coeffs", coeffs]
+
+
+def _fuzz_rank(argv):
+    """The rank of the drawn coefficient list, 0 if it is malformed."""
+    try:
+        coeffs = [int(c) for c in argv[argv.index("--coeffs") + 1].split(",")]
+    except ValueError:
+        return 0
+    return len(coeffs) if min(coeffs) > 0 else 0
+
+
+def _fuzz_bound(draw, top):
+    return ["--bound", _fuzz_int(draw, 2, top, _FUZZ_EDGE_BOUNDS)]
+
+
+def _fuzz_int(draw, lo, hi, edges=(-1, 0, 1)):
+    """An edge value one time in four, else one in [lo, hi]."""
+    return str(draw(st.sampled_from(edges)) if not draw(st.integers(0, 3)) else draw(st.integers(lo, hi)))
+
+
+def _fuzz_domain(draw):
+    return draw(st.sampled_from([[], [], ["--domain", "nonneg"], ["--domain", "int"], ["--domain", "real"]]))
+
+
+_FUZZ_VERBS = (
+    "eval", "invert", "represent", "set", "truant", "tree", "local",
+    "exceptions", "kwindow", "feasible-k", "gamma", "growth", "td5",
+)
+
+
+@st.composite
+def _fuzz_call(draw):
+    """(verb arguments, format, where --output points, where --cache-dir points)."""
+    verb = draw(st.sampled_from(_FUZZ_VERBS))
+    argv = [verb]
+    m = ["--m", _fuzz_int(draw, 3, 30, (0, 2, 3, 4))]
+    if verb == "eval":
+        argv += m + ["--x", _fuzz_int(draw, -(10**20), 10**20)]
+    elif verb == "invert":
+        argv += m + ["--n", _fuzz_int(draw, -(10**20), 10**20)] + _fuzz_domain(draw)
+    elif verb == "represent":
+        argv += _fuzz_form(draw, verb)
+        # past the 2^20 window only rank <= 2 answers at once
+        top = 10**9 if _fuzz_rank(argv) <= 2 else 1 << 20
+        argv += ["--n", _fuzz_int(draw, -5, top)] + _fuzz_domain(draw)
+    elif verb in ("set", "truant"):
+        argv += _fuzz_form(draw, verb) + _fuzz_bound(draw, 10**5) + _fuzz_domain(draw)
+        # a form with no truant escalates to 10^8: only rank <= 2 forms escalate
+        if verb == "truant" and _fuzz_rank(argv) <= 2 and draw(st.booleans()):
+            argv.append("--escalate")
+    elif verb in ("tree", "gamma"):
+        argv += m + _fuzz_bound(draw, 10**5) + ["--depth", _fuzz_int(draw, 1, 3, (-1, 0))]
+    elif verb == "local":
+        argv += _fuzz_form(draw, verb) + ["--n", _fuzz_int(draw, -5, 10**12)]
+    elif verb == "exceptions":
+        # a low-rank form misses most values, and each miss is checked locally
+        argv += _fuzz_form(draw, verb) + _fuzz_bound(draw, 10**4)
+    elif verb == "kwindow":
+        argv += _fuzz_form(draw, verb) + ["--n", _fuzz_int(draw, -5, 10**18)]
+        argv += ["--c", _fuzz_int(draw, 2, 100)]
+    elif verb == "feasible-k":
+        argv += _fuzz_form(draw, verb) + ["--n", _fuzz_int(draw, -5, 10**9)]
+        argv += ["--c", _fuzz_int(draw, 2, 100), "--k-max", _fuzz_int(draw, 2, 100)]
+    elif verb == "growth":
+        lo = int(_fuzz_int(draw, 3, 30, (0, 2, 3, 4)))
+        argv += _fuzz_form(draw, verb)[2:] + ["--m-from", str(lo), "--m-to", str(lo + draw(st.integers(-1, 2)))]
+        argv += _fuzz_bound(draw, 10**4)
+    elif draw(st.booleans()):
+        argv.append("--count-only")
+    # one worker: growth would start a process per worker
+    argv += draw(st.sampled_from([[], [], [], ["--jobs", "1"], ["--jobs", "0"], ["--jobs", "-1"]]))
+    argv += draw(st.sampled_from([[], ["--stamp"]]))
+    fmt = draw(st.sampled_from(["json", "csv", "text"]))
+    output = draw(st.sampled_from([None] * 4 + ["file"] * 2 + ["missing-dir", "a-dir", "under-a-file"]))
+    cache = draw(st.sampled_from([None, None, "populated", "populated", "new-dir", "a-file"]))
+    return argv + ["--format", fmt], fmt, output, cache
+
+
+@pytest.fixture(scope="module")
+def populated_cache(tmp_path_factory):
+    """A cache directory with sieves of the forms in `_FUZZ_CACHED`."""
+    root = tmp_path_factory.mktemp("fuzz-cache")
+    with mock.patch.dict("os.environ"):
+        os.environ.pop("MGONAL_CACHE_DIR", None)
+        for m, coeffs in _FUZZ_CACHED:
+            for bound in (100, 5000):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["set", "--m", m, "--coeffs", coeffs, "--bound", str(bound), "--cache-dir", str(root)]) == 0
+    return root
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fuzz_call())
+@example((["set", "--m", "5", "--coeffs", "1,1,1", "--bound", "-5", "--format", "text"], "text", None, "populated"))
+@example((["eval", "--m", "5", "--x", "3", "--format", "json"], "json", "missing-dir", None))
+def test_cli_fuzz_exits_0_2_or_3_without_a_traceback(populated_cache, call):
+    argv, fmt, output, cache = call
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "a-file").write_text("")
+        (tmp / "a-dir").mkdir()
+        report = {
+            "file": tmp / "report",
+            "missing-dir": tmp / "missing" / "report",
+            "a-dir": tmp / "a-dir",
+            "under-a-file": tmp / "a-file" / "report",
+        }.get(output)
+        if cache == "populated":
+            shutil.copytree(populated_cache, tmp / "cache")
+        cache_dir = {"populated": tmp / "cache", "new-dir": tmp / "new" / "cache", "a-file": tmp / "a-file"}.get(cache)
+        argv = argv + (["--output", str(report)] if report else []) + (["--cache-dir", str(cache_dir)] if cache_dir else [])
+        out, err = io.StringIO(), io.StringIO()
+
+        def overran(signum, frame):
+            raise _SlowCall
+
+        previous = signal.signal(signal.SIGALRM, overran)
+        signal.setitimer(signal.ITIMER_REAL, _FUZZ_CALL_SECONDS)
+        try:
+            with mock.patch.dict("os.environ"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                os.environ.pop("MGONAL_CACHE_DIR", None)
+                code = main(argv)
+        except _SlowCall:
+            pytest.fail(f"{' '.join(argv)} ran past {_FUZZ_CALL_SECONDS} s")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 0 and fmt == "json":
+            json.loads(report.read_text() if report else out.getvalue())

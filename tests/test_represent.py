@@ -44,6 +44,12 @@ def words_of(bits, bound):
     return np.frombuffer(bits.to_bytes((bound + 64) // 64 * 8, "little"), dtype="<u8")
 
 
+def empty_suffix_cache(monkeypatch):
+    """An empty suffix-mask cache and byte count for the rest of the test."""
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    monkeypatch.setattr(represent, "_SUFFIX_CACHE_BYTES", 0)
+
+
 def acc_bits(acc, bound):
     """The big int of a sieve accumulator, through its MGRS body."""
     return int.from_bytes(_acc_words(acc, bound), "little")
@@ -320,9 +326,9 @@ def test_suffix_window_reused_for_smaller_n(monkeypatch):
     big, small, past = 4000, 350, 300000
     cold = {}
     for n in (big, small, past):
-        monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+        empty_suffix_cache(monkeypatch)
         cold[n] = represents(f, n)
-    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    empty_suffix_cache(monkeypatch)
     builds = []
     real = represent._suffix_masks
 
@@ -355,7 +361,7 @@ def test_missing_lists_every_gap(m, coeffs, domain, bound, start):
 
 def test_suffix_cache_keeps_the_recently_used_keys(monkeypatch):
     """Past its byte bound the least recently used keys are dropped, not every key."""
-    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    empty_suffix_cache(monkeypatch)
     builds = []
     real = represent._suffix_masks
 
@@ -372,11 +378,13 @@ def test_suffix_cache_keeps_the_recently_used_keys(monkeypatch):
         represent._suffix_window(*keys[0], 100)  # a hit makes keys[0] the most recent
     assert builds == keys  # keys[0] was never built again
     assert list(represent._SUFFIX_CACHE) == keys[3:] + keys[:1]
+    assert represent._SUFFIX_CACHE_BYTES == sum(entry[2] for entry in represent._SUFFIX_CACHE.values())
     # a window eight times as wide takes the room of seven narrow ones:
     # its own narrow masks and the six least recently used keys go
     represent._suffix_window(*keys[5], 800)
     assert list(represent._SUFFIX_CACHE) == keys[10:] + keys[:1] + keys[5:6]
     assert sum(entry[2] for entry in represent._SUFFIX_CACHE.values()) <= 64 * size
+    assert represent._SUFFIX_CACHE_BYTES == sum(entry[2] for entry in represent._SUFFIX_CACHE.values())
 
 
 @st.composite
@@ -504,7 +512,7 @@ def test_candidates_walk_the_values_down_in_closed_form(m, domain, top):
 def test_represents_at_huge_n_lists_no_values_past_the_window(monkeypatch, n):
     """A witness for a huge locally represented n, fast, with value lists no
     longer than the full window's (the old per-level lists grew as sqrt(n))."""
-    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    empty_suffix_cache(monkeypatch)
     monkeypatch.setattr(represent, "_VALUE_TABLES", {})
     tops = []
     real = represent.polygonal_values
@@ -557,7 +565,7 @@ def test_represents_on_forms_with_gcd_above_one(form, domain, n, nudge):
 
 def test_gcd_exit_builds_no_masks(monkeypatch):
     f = MgonalForm.make(12, [2, 4, 4, 6, 6])
-    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    empty_suffix_cache(monkeypatch)
     monkeypatch.setattr(represent, "_suffix_masks", lambda *args: pytest.fail("masks built"))
     for n in (1, 3, 1001, (1 << 20) + 1, (1 << 21) + 12345):
         assert represents(f, n) is None
@@ -630,6 +638,7 @@ def test_two_phase_search_returns_the_one_window_witness(case, budget_per_bit, f
     form, n, domain = case
     with (
         mock.patch.object(represent, "_SUFFIX_CACHE", {}),
+        mock.patch.object(represent, "_SUFFIX_CACHE_BYTES", 0),
         mock.patch.object(represent, "_BUDGET_PER_BIT", budget_per_bit),
         mock.patch.object(represent, "_FIRST_WINDOW", first),
     ):
@@ -643,7 +652,7 @@ def test_two_phase_search_returns_the_one_window_witness(case, budget_per_bit, f
 
 
 def test_wide_window_built_only_when_the_first_phase_stalls(monkeypatch):
-    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    empty_suffix_cache(monkeypatch)
     builds = []
     real = represent._suffix_masks
     monkeypatch.setattr(represent, "_suffix_masks", lambda *args: builds.append(args[-1]) or real(*args))
@@ -662,7 +671,7 @@ def test_wide_window_built_only_when_the_first_phase_stalls(monkeypatch):
 
 
 def test_locally_missed_n_past_the_full_window_builds_no_wide_window(monkeypatch):
-    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    empty_suffix_cache(monkeypatch)
     builds = []
     real = represent._suffix_masks
     monkeypatch.setattr(represent, "_suffix_masks", lambda *args: builds.append(args[-1]) or real(*args))
@@ -687,7 +696,7 @@ def test_locally_missed_n_past_the_full_window_builds_no_wide_window(monkeypatch
 def test_fallback_searches_when_the_local_check_cannot_factor(monkeypatch):
     """Past 2^20 the local check of <1,2,p*q>_5, p and q primes past 2^20,
     raises a budget error; the fallback search answers instead."""
-    monkeypatch.setattr(represent, "_SUFFIX_CACHE", {})
+    empty_suffix_cache(monkeypatch)
     monkeypatch.setattr(represent, "_BUDGET_PER_BIT", 0)
     f = MgonalForm.make(5, [1, 2, 1048583 * 1048589])
     with pytest.raises(ResourceLimitError):
@@ -767,14 +776,28 @@ def test_step_order_puts_a_dense_sub_form_first():
     assert represent._step_order(5, (3, 6, 6), Domain.INT, 1 << 22) == (3, 6, 6)
     # below the word path, at rank 2 and past the largest planned rank no
     # pilot runs
-    represent._PILOTS.clear()
+    represent._pilot.cache_clear()
     for m, coeffs, bound in [
         (9, (1, 1, 2, 4, 4), _WORD_SIEVE_MIN_BOUND - 1),
         (9, (1, 2), 1 << 19),
         (9, (1,) * (represent._PLAN_MAX_RANK + 1), 1 << 19),
     ]:
         assert represent._step_order(m, coeffs, Domain.NONNEG, bound) == coeffs
-    assert represent._PILOTS == {}
+    info = represent._pilot.cache_info()
+    assert info.hits == info.misses == 0
+
+
+def recorded_pilots(monkeypatch):
+    """The set of (m, is_int, sub) keys that every later `_pilot` call adds to."""
+    keys = set()
+    real = represent._pilot
+
+    def recording(*key):
+        keys.add(key)
+        return real(*key)
+
+    monkeypatch.setattr(represent, "_pilot", recording)
+    return keys
 
 
 @settings(max_examples=60, deadline=None)
@@ -790,24 +813,27 @@ def test_step_order_runs_one_pilot_per_sub_form_at_most(m, coeffs, domain, bound
     """A plan pilots only sub-forms that hold the first coefficient, each
     once: at most 2^(rank-1) of them."""
     coeffs = tuple(sorted(coeffs))
-    represent._PILOTS.clear()
-    with mock.patch.object(represent, "_PLAN_MARGIN", _PLAN_BRANCHES[branch]):
-        represent._step_order(m, coeffs, domain, bound)
-    assert len(represent._PILOTS) <= 1 << (len(coeffs) - 1)
-    for key_m, is_int, sub in represent._PILOTS:
+    represent._pilot.cache_clear()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        keys = recorded_pilots(monkeypatch)
+        with mock.patch.object(represent, "_PLAN_MARGIN", _PLAN_BRANCHES[branch]):
+            represent._step_order(m, coeffs, domain, bound)
+    assert represent._pilot.cache_info().misses == len(keys) <= 1 << (len(coeffs) - 1)
+    for key_m, is_int, sub in keys:
         assert (key_m, is_int) == (m, domain is Domain.INT) and sub[0] == coeffs[0]
         assert not Counter(sub) - Counter(coeffs)
 
 
-def test_pilot_memo_stays_within_its_size():
-    represent._PILOTS.clear()
-    seen = set()
+def test_pilot_memo_stays_within_its_size(monkeypatch):
+    pilot = represent._pilot
+    most = pilot.cache_parameters()["maxsize"]
+    pilot.cache_clear()
+    seen = recorded_pilots(monkeypatch)
     for m in range(3, 40):
         represent._step_order(m, (1, 2, 3, 4, 5, 6), Domain.NONNEG, 1 << 20)
-        seen |= set(represent._PILOTS)
-        assert len(represent._PILOTS) <= represent._PILOTS_MAX
-    assert len(seen) > represent._PILOTS_MAX
-    assert len(represent._PILOTS) == represent._PILOTS_MAX
+        assert pilot.cache_info().currsize <= most
+    assert len(seen) > most
+    assert pilot.cache_info().currsize == most
 
 
 # every truant-search window edge below the word-path crossover, and the crossover
@@ -1164,6 +1190,14 @@ class TestCacheFormat:
         rs = represented_set(MgonalForm.make(5, [1]), 100)
         small = rs.truncated(13)
         assert small == represented_set(MgonalForm.make(5, [1]), 13)
+
+    @pytest.mark.parametrize("bound", [-1, -5])
+    def test_truncation_to_a_negative_bound_refused(self, bound):
+        rs = represented_set(MgonalForm.make(5, [1]), 100)
+        with pytest.raises(ValueError, match="negative"):
+            rs.truncated(bound)
+        zero = rs.truncated(0)  # the least bound a cut takes
+        assert (zero.bound, zero.bits, zero.count()) == (0, 1, 1)
 
     def test_word_boundary_bounds(self):
         f = MgonalForm.make(6, [1, 3])
