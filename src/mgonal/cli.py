@@ -4,29 +4,24 @@ Reports are byte-identical for identical configurations (no timestamps unless
 --stamp), sieve caches round-trip bit-exactly, and exit codes separate usage
 errors (2) from resource budget errors (3); a mathematical "no" is data, not
 a failure.
+
+Each verb imports the engine modules it runs when it runs, so a cold start
+loads only those: `eval`, `invert`, `local` and `kwindow` never load numpy,
+which comes with the sieve module, and `growth` loads the process pool only
+for more than one worker.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import io
-import json
 import os
 import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CacheFormatError, ResourceLimitError
-from .escalator import build_tree, exceptions, gamma_estimate, growth_probe, t_d5, tree_nodes
 from .forms import Domain, MgonalForm, decompose, is_polygonal, polygonal_number
-from .local import locally_represented
-from .reduction import feasible_k, k_window
-from .represent import RepresentedSet, _check_bound, represented_set, represents, truant_up_to
 
 __all__ = ["main", "load_or_build_set", "cache_file_name"]
 
@@ -36,6 +31,8 @@ __all__ = ["main", "load_or_build_set", "cache_file_name"]
 
 def _cache_prefix(form: MgonalForm, domain: Domain) -> str:
     """File-name prefix shared by every cache of one (form, domain) key."""
+    import hashlib
+
     key = f"{form.m}|{domain.value}|{','.join(map(str, form.coeffs))}"
     return f"mgrs-{hashlib.sha256(key.encode()).hexdigest()[:16]}-"
 
@@ -62,6 +59,8 @@ def _cache_candidates(cache_dir: Path, form: MgonalForm, domain: Domain) -> list
 
 
 def _read_cache(bound: int, path: Path, form: MgonalForm, domain: Domain) -> RepresentedSet:
+    from .represent import RepresentedSet
+
     rset = RepresentedSet.from_bytes(path.read_bytes())
     if rset.form != form or rset.domain != domain:
         raise CacheFormatError(f"cache key collision at {path}")
@@ -84,6 +83,10 @@ def load_or_build_set(
     (form, domain or bound) is rejected.  A bound below 1 or past the cap is
     refused before the directory is listed.
     """
+    import tempfile
+
+    from .represent import _check_bound, represented_set
+
     _check_bound(bound)
     if cache_dir is None:
         return represented_set(form, bound, domain)
@@ -241,20 +244,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload: dict, csv_rows: list | None = None, text: str | None = None) -> str:
     if args.stamp:
+        from datetime import datetime, timezone
+
         payload = dict(payload)
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    if args.format == "json":
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if args.format == "text" and text is not None:
+        body = text + "\n"
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows or []:
             writer.writerow(row)
         body = buf.getvalue()
         if "summary" in payload:
+            import json
+
             body += json.dumps(payload["summary"], sort_keys=True) + "\n"
     else:
-        body = (text if text is not None else json.dumps(payload, sort_keys=True)) + "\n"
+        import json
+
+        body = json.dumps(payload, sort_keys=True, indent=2 if args.format == "json" else None) + "\n"
     if args.output is not None:
         args.output.write_text(body)
     else:
@@ -292,6 +303,8 @@ def _cmd_invert(args) -> None:
 
 
 def _cmd_represent(args) -> None:
+    from .represent import represents
+
     form = MgonalForm.make(args.m, args.coeffs)
     witness = represents(form, args.n, args.domain)
     payload = {
@@ -317,6 +330,8 @@ def _cmd_set(args) -> None:
 
 
 def _cmd_truant(args) -> None:
+    from .represent import truant_up_to
+
     form = MgonalForm.make(args.m, args.coeffs)
     bound, cap = args.bound, 10**8
     cache_dir = _cache_dir(args)
@@ -333,6 +348,8 @@ def _cmd_truant(args) -> None:
 
 
 def _cmd_tree(args) -> None:
+    from .escalator import build_tree, tree_nodes
+
     root = build_tree(args.m, args.depth, args.bound)
     payload = {"m": args.m, "bound": args.bound, "node": root.to_json_dict()}
     rows = [("coeffs", "truant", "universal_up_to")] + [
@@ -342,6 +359,8 @@ def _cmd_tree(args) -> None:
 
 
 def _cmd_local(args) -> None:
+    from .local import locally_represented
+
     form = MgonalForm.make(args.m, args.coeffs)
     profile = locally_represented(form, args.n)
     _emit(
@@ -352,6 +371,8 @@ def _cmd_local(args) -> None:
 
 
 def _cmd_exceptions(args) -> None:
+    from .escalator import exceptions
+
     form = MgonalForm.make(args.m, args.coeffs)
     report = exceptions(form, args.bound)
     payload = {
@@ -365,6 +386,8 @@ def _cmd_exceptions(args) -> None:
 
 
 def _cmd_kwindow(args) -> None:
+    from .reduction import k_window
+
     form = MgonalForm.make(args.m, args.coeffs)
     dec = decompose(args.m, args.n)
     window = k_window(form, dec.A, dec.B, args.c)
@@ -373,6 +396,8 @@ def _cmd_kwindow(args) -> None:
 
 
 def _cmd_feasible_k(args) -> None:
+    from .reduction import feasible_k
+
     form = MgonalForm.make(args.m, args.coeffs)
     found = feasible_k(form, args.n, args.c, args.k_max)
     payload = {
@@ -386,6 +411,8 @@ def _cmd_feasible_k(args) -> None:
 
 
 def _cmd_gamma(args) -> None:
+    from .escalator import gamma_estimate
+
     est = gamma_estimate(args.m, args.bound, args.depth)
     payload = {
         "m": args.m,
@@ -398,9 +425,13 @@ def _cmd_gamma(args) -> None:
 
 
 def _cmd_growth(args) -> None:
+    from .escalator import growth_probe
+
     m_range = (args.m_from, args.m_to)
     workers = min(args.jobs, args.m_to - args.m_from + 1, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             probe = growth_probe(args.coeffs, m_range, args.bound, pool.map)
     else:
@@ -422,6 +453,8 @@ def _cmd_growth(args) -> None:
 
 
 def _cmd_td5(args) -> None:
+    from .escalator import t_d5
+
     tuples = t_d5()
     if args.count_only:
         _emit(args, {"count": len(tuples)}, text=str(len(tuples)))

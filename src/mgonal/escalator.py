@@ -23,7 +23,6 @@ universality, and the gamma estimate is reported as a lower bound.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -50,8 +49,6 @@ __all__ = [
     "fit_growth_exponent",
     "tree_nodes",
 ]
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -116,7 +113,9 @@ class _TreePath:
             w = _truant_window(w + 1, self.bound)
         self.searched[-1] = w
         if shortcut and t != s + 1:
-            logger.warning(
+            import logging  # loaded only for this warning, which a correct shortcut never gives
+
+            logging.getLogger(__name__).warning(
                 "truant shortcut %d disagrees with sieve %s for %s; using the sieve",
                 s + 1,
                 t,

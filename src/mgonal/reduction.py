@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import Domain, MgonalForm, decompose
-from .represent import SystemInstance, solve_system
 
 __all__ = [
     "ReducedForm",
@@ -119,18 +118,23 @@ class SqrtVal:
         """self + c."""
         return SqrtVal(self.num + c * self.den, self.rad, self.den, self.sign)
 
-    def approx(self, digits: int = 15) -> float:
+    def approx(self, digits: int = 15) -> float | None:
+        """The value as a float, None when it lies outside the float range."""
         scale = 10 ** (digits + 5)
         root = math.isqrt(self.rad * scale * scale)
-        return float(Fraction(self.num * scale + self.sign * root, self.den * scale))
+        try:
+            return float(Fraction(self.num * scale + self.sign * root, self.den * scale))
+        except OverflowError:
+            return None
 
     def to_json_dict(self) -> dict:
+        approx = self.approx()
         return {
             "num": self.num,
             "radicand": self.rad,
             "den": self.den,
             "sign": self.sign,
-            "approx": float(f"{self.approx():.15g}"),
+            "approx": None if approx is None else float(f"{approx:.15g}"),
         }
 
 
@@ -307,6 +311,8 @@ def feasible_k(
     Returns ascending (k, witness) pairs; each witness is re-checked against
     both system equations and nonnegativity before being reported.
     """
+    from .represent import SystemInstance, solve_system  # the sieve module, which k_window does not need
+
     if n < 0:
         raise ValueError("target must be nonnegative")
     dec = decompose(form.m, n)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -16,8 +17,9 @@ from mgonal import cli, local, represent
 from mgonal.cli import cache_file_name, load_or_build_set, main
 from mgonal.errors import CacheFormatError
 from mgonal.escalator import build_tree, tree_nodes
-from mgonal.forms import Domain, MgonalForm
+from mgonal.forms import Domain, MgonalForm, decompose
 from mgonal.local import mgonal_represents_zp
+from mgonal.reduction import k_window
 from mgonal.represent import RepresentedSet, represented_set
 
 import refinement_walk
@@ -197,6 +199,23 @@ def test_kwindow_and_feasible_k(capsys):
     assert payload["feasible"], "k values should exist at this size"
 
 
+def test_kwindow_past_the_float_range_reports_exact_endpoints(capsys):
+    """Endpoints past the largest float keep their exact fields; only the
+    informational float is null."""
+    n = 10**700
+    code, out = run_cli(capsys, "kwindow", "--m", "5", "--coeffs", "1,2,3", "--n", str(n), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    dec = decompose(5, n)
+    window = k_window(MgonalForm.make(5, [1, 2, 3]), dec.A, dec.B)
+    assert (payload["A"], payload["B"], payload["C"]) == (dec.A, dec.B, 0)
+    assert payload["empty_reason"] == window.empty_reason()
+    for key in ("alpha_minus", "alpha_plus", "beta_minus", "beta_plus"):
+        end = getattr(window, key)
+        assert end is not None and payload[key]["approx"] is None
+        assert [payload[key][f] for f in ("num", "radicand", "den", "sign")] == [end.num, end.rad, end.den, end.sign]
+
+
 def test_growth_parallel_matches_serial(capsys):
     argv = ["growth", "--coeffs", "1,1,1,1,1", "--m-from", "6", "--m-to", "9",
             "--bound", "4000", "--format", "json"]
@@ -224,7 +243,7 @@ class _SerialPool:
 
 
 def test_growth_pool_capped_by_tasks_and_cpus(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "made", [])
     argv = ["growth", "--coeffs", "1,1,1,1,1", "--m-from", "6", "--m-to", "8",
             "--bound", "3000", "--format", "json"]
@@ -278,7 +297,6 @@ def test_uncached_truant_sieves_no_further_than_the_truant(capsys, monkeypatch, 
         return real(form, bound, domain, bound_cap)
 
     monkeypatch.setattr(represent, "represented_set", recording)
-    monkeypatch.setattr(cli, "represented_set", recording)
     code, out = run_cli(capsys, "truant", "--m", "8", "--coeffs", "1,1,2,4", *argv, "--format", "json")
     assert code == 0 and json.loads(out)["truant"] == truant
     assert sieved == windows
@@ -719,7 +737,7 @@ def _fuzz_call(draw):
         # a low-rank form misses most values, and each miss is checked locally
         argv += _fuzz_form(draw, verb) + _fuzz_bound(draw, 10**4)
     elif verb == "kwindow":
-        argv += _fuzz_form(draw, verb) + ["--n", _fuzz_int(draw, -5, 10**18)]
+        argv += _fuzz_form(draw, verb) + ["--n", _fuzz_int(draw, -5, 10**18, (-1, 0, 1, 10**700))]
         argv += ["--c", _fuzz_int(draw, 2, 100)]
     elif verb == "feasible-k":
         argv += _fuzz_form(draw, verb) + ["--n", _fuzz_int(draw, -5, 10**9)]
